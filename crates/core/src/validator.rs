@@ -134,7 +134,9 @@ impl<'a> SerializabilityValidator<'a> {
     ///
     /// Given the server's conflict graph, the query closes a cycle iff
     /// some transaction that *overwrote* a value it read reaches (or is)
-    /// some transaction whose value it read.
+    /// some transaction whose value it read. This is a one-readset
+    /// [`SerializabilityBatch`]; callers checking many readsets against
+    /// one graph should build the batch once.
     ///
     /// # Errors
     /// Returns [`ConsistencyViolation`] with a witnessing pair when a
@@ -144,64 +146,33 @@ impl<'a> SerializabilityValidator<'a> {
         graph: &bpush_sgraph::SerializationGraph,
         reads: &[ReadRecord],
     ) -> Result<(), ConsistencyViolation> {
-        use bpush_sgraph::Node;
-        // in-edges to the query: writers of values read
-        let writers: std::collections::BTreeSet<TxnId> =
-            reads.iter().filter_map(|r| r.value.writer()).collect();
-        // out-edges from the query: the first overwrite of each value read
-        let overwriters: Vec<TxnId> = reads
-            .iter()
-            .filter_map(|r| self.history.next_overwrite(r.item, r.value))
-            // lint: allow(panic) — history stores committed writes, which always carry a writer
-            .map(|v| v.writer().expect("overwrites are committed writes"))
-            .collect();
-        for &o in &overwriters {
-            if writers.contains(&o) {
-                return Err(ConsistencyViolation {
-                    fresh_writer: o,
-                    stale_overwrite: o,
-                });
-            }
-            // DFS from the overwriter through the server conflict graph
-            let mut stack = vec![Node::Txn(o)];
-            let mut seen = std::collections::BTreeSet::new();
-            while let Some(n) = stack.pop() {
-                if !seen.insert(n) {
-                    continue;
-                }
-                if let Some(t) = n.as_txn() {
-                    if t != o && writers.contains(&t) {
-                        return Err(ConsistencyViolation {
-                            fresh_writer: t,
-                            stale_overwrite: o,
-                        });
-                    }
-                }
-                stack.extend_from_slice(graph.successors(n));
-            }
-        }
-        Ok(())
+        SerializabilityBatch::new(self.history, graph).check(reads)
     }
 }
 
-/// Batch form of [`SerializabilityValidator::check_serializable`] for
-/// validating many committed readsets against one (final) conflict
-/// graph: the transactions reachable from each overwriter are computed
-/// once, memoized as a sorted list, and every readset's check becomes a
-/// merge intersection of two sorted sequences instead of a fresh DFS.
+/// The §2.2 check of [`SerializabilityValidator::check_serializable`]
+/// for many committed readsets against one (final) conflict graph.
 ///
-/// Verdicts are identical to the per-readset check (the differential
-/// proptests pin this); the *witness pair* inside a violation may
-/// differ, because the DFS reports the first hit in traversal order
-/// while the merge reports the smallest.
+/// For each value read, in readset order, the check searches forward
+/// from the transaction that overwrote it
+/// ([`bpush_sgraph::SerializationGraph::find_reachable`]) and stops at
+/// the first writer of a value read. The server's conflict graph is
+/// commit-ordered (every edge runs from an older to a newer
+/// transaction), so the search never expands a transaction newer than
+/// the readset's newest writer: nothing past it can lead back to a
+/// writer. [`SerializabilityBatch::new`] verifies that ordering once; on
+/// any other graph the search runs unbounded, with the same verdicts.
+///
+/// The witness pair is the first hit of that depth-first search, so it
+/// is the same whether a readset is checked through a batch or through
+/// [`SerializabilityValidator::check_serializable`].
 #[derive(Debug)]
 pub struct SerializabilityBatch<'a> {
     history: &'a WriteHistory,
     graph: &'a bpush_sgraph::SerializationGraph,
-    /// Overwriter -> sorted transactions reachable from it (including
-    /// itself when it lies on a cycle). Borrowing the graph for the
-    /// batch's whole lifetime is what makes the memo sound.
-    reach: std::collections::BTreeMap<TxnId, Vec<TxnId>>,
+    /// Whether `graph` is commit-ordered, which makes bounding each
+    /// search by the readset's newest writer exact.
+    commit_ordered: bool,
     /// Scratch for the per-readset sorted writer list, reused across
     /// checks.
     writers: Vec<TxnId>,
@@ -213,31 +184,9 @@ impl<'a> SerializabilityBatch<'a> {
         SerializabilityBatch {
             history,
             graph,
-            reach: std::collections::BTreeMap::new(),
+            commit_ordered: graph.is_commit_ordered(),
             writers: Vec::new(),
         }
-    }
-
-    /// The sorted transactions reachable from `o` in the conflict graph,
-    /// computed on first use.
-    fn reachable(&mut self, o: TxnId) -> &[TxnId] {
-        let graph = self.graph;
-        self.reach.entry(o).or_insert_with(|| {
-            use bpush_sgraph::Node;
-            let mut txns = std::collections::BTreeSet::new();
-            let mut stack = vec![Node::Txn(o)];
-            let mut seen = std::collections::BTreeSet::new();
-            while let Some(n) = stack.pop() {
-                if !seen.insert(n) {
-                    continue;
-                }
-                if let Some(t) = n.as_txn() {
-                    txns.insert(t);
-                }
-                stack.extend_from_slice(graph.successors(n));
-            }
-            txns.into_iter().collect()
-        })
     }
 
     /// Batch equivalent of
@@ -246,30 +195,38 @@ impl<'a> SerializabilityBatch<'a> {
     /// # Errors
     /// Returns [`ConsistencyViolation`] with a witnessing pair when a
     /// cycle through the query exists.
+    ///
+    /// # Panics
+    /// Panics if a read value was never committed according to the
+    /// history, like [`SerializabilityValidator::check`].
     pub fn check(&mut self, reads: &[ReadRecord]) -> Result<(), ConsistencyViolation> {
         self.writers.clear();
         self.writers
             .extend(reads.iter().filter_map(|r| r.value.writer()));
         self.writers.sort_unstable();
         self.writers.dedup();
+        // with no writer read, no overwriter can reach one
+        let Some(&newest) = self.writers.last() else {
+            return Ok(());
+        };
+        let bound = self.commit_ordered.then_some(newest);
+        let writers = &self.writers;
+        let is_writer = |t: TxnId| writers.binary_search(&t).is_ok();
         for r in reads {
             let Some(over) = self.history.next_overwrite(r.item, r.value) else {
                 continue;
             };
-            // committed overwrites always carry a writer; a tagless one
-            // would be a substrate bug the per-readset oracle panics on
-            let Some(o) = over.writer() else { continue };
-            if self.writers.binary_search(&o).is_ok() {
-                return Err(ConsistencyViolation {
-                    fresh_writer: o,
-                    stale_overwrite: o,
-                });
-            }
-            // writers is borrowed around the reachable() call below, so
-            // swap it out of self for the merge
-            let writers = std::mem::take(&mut self.writers);
-            let hit = merge_hit(self.reachable(o), &writers, o);
-            self.writers = writers;
+            // lint: allow(panic) — history stores committed writes, which always carry a writer
+            let o = over.writer().expect("overwrites are committed writes");
+            let hit = if is_writer(o) {
+                Some(o)
+            } else {
+                self.graph
+                    .find_reachable(bpush_sgraph::Node::Txn(o), bound, |n| {
+                        n.as_txn().is_some_and(is_writer)
+                    })
+                    .and_then(bpush_sgraph::Node::as_txn)
+            };
             if let Some(t) = hit {
                 return Err(ConsistencyViolation {
                     fresh_writer: t,
@@ -279,31 +236,6 @@ impl<'a> SerializabilityBatch<'a> {
         }
         Ok(())
     }
-}
-
-/// First transaction (in id order) present in both sorted sequences,
-/// ignoring `skip` — the merge-intersection core of the batch check.
-fn merge_hit(reach: &[TxnId], writers: &[TxnId], skip: TxnId) -> Option<TxnId> {
-    let mut ri = reach.iter().peekable();
-    let mut wi = writers.iter().peekable();
-    while let (Some(&&r), Some(&&w)) = (ri.peek(), wi.peek()) {
-        match r.cmp(&w) {
-            std::cmp::Ordering::Less => {
-                ri.next();
-            }
-            std::cmp::Ordering::Greater => {
-                wi.next();
-            }
-            std::cmp::Ordering::Equal => {
-                if r != skip {
-                    return Some(r);
-                }
-                ri.next();
-                wi.next();
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -411,18 +343,17 @@ mod tests {
         assert_eq!(interval.before, None);
     }
 
+    /// A reused batch and the per-readset form give the same verdicts
+    /// and the same first-hit witnesses, bounded or not.
     #[test]
     fn batch_check_agrees_with_per_readset_dfs() {
         use bpush_sgraph::{Node, SerializationGraph};
         let h = history();
         let val = SerializabilityValidator::new(&h);
-        let mut graph = SerializationGraph::new();
-        // conflict chain T1.0 -> T2.0 -> T3.0 plus a back edge forming a
-        // cycle T2.0 -> T3.0 -> T2.0
-        graph.add_edge(Node::Txn(t(1, 0)), Node::Txn(t(2, 0)));
-        graph.add_edge(Node::Txn(t(2, 0)), Node::Txn(t(3, 0)));
-        graph.add_edge(Node::Txn(t(3, 0)), Node::Txn(t(2, 0)));
-        let mut batch = SerializabilityBatch::new(&h, &graph);
+        let stale = |fresh, over| ConsistencyViolation {
+            fresh_writer: fresh,
+            stale_overwrite: over,
+        };
         let readsets: Vec<Vec<ReadRecord>> = vec![
             vec![],
             vec![ReadRecord::new(x(0), v(t(1, 0)))],
@@ -439,15 +370,40 @@ mod tests {
                 ReadRecord::new(x(1), v(t(2, 0))),
             ],
         ];
-        for reads in &readsets {
-            let oracle = val.check_serializable(&graph, reads).is_ok();
-            assert_eq!(
-                batch.check(reads).is_ok(),
-                oracle,
-                "verdicts must agree on {reads:?}"
-            );
-            // memoization must not change later verdicts: re-check
-            assert_eq!(batch.check(reads).is_ok(), oracle);
+        // conflict chain T1.0 -> T2.0 -> T3.0 is commit-ordered, so the
+        // batch bounds its searches; the back edge T3.0 -> T2.0 makes a
+        // cycle, so it does not
+        let mut chain = SerializationGraph::new();
+        chain.add_edge(Node::Txn(t(1, 0)), Node::Txn(t(2, 0)));
+        chain.add_edge(Node::Txn(t(2, 0)), Node::Txn(t(3, 0)));
+        let mut cyclic = chain.clone();
+        cyclic.add_edge(Node::Txn(t(3, 0)), Node::Txn(t(2, 0)));
+        let cases = [
+            (
+                &chain,
+                [Ok(()), Ok(()), Ok(()), Err(stale(t(2, 0), t(1, 0))), Ok(())],
+            ),
+            (
+                &cyclic,
+                [
+                    Ok(()),
+                    Ok(()),
+                    Err(stale(t(2, 0), t(3, 0))),
+                    Err(stale(t(2, 0), t(1, 0))),
+                    Ok(()),
+                ],
+            ),
+        ];
+        for (graph, want) in cases {
+            let mut batch = SerializabilityBatch::new(&h, graph);
+            for (reads, want) in readsets.iter().zip(want) {
+                assert_eq!(batch.check(reads), want, "batch on {reads:?}");
+                assert_eq!(val.check_serializable(graph, reads), want);
+            }
+            // a reused batch keeps its verdicts
+            for (reads, want) in readsets.iter().zip(want) {
+                assert_eq!(batch.check(reads), want);
+            }
         }
     }
 

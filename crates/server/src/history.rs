@@ -71,10 +71,11 @@ impl WriteHistory {
         match value.writer() {
             None => log.first().copied(),
             Some(w) => {
+                // the log is in serial order (`record` asserts it), so
+                // its writers are sorted
                 let idx = log
-                    .iter()
-                    .position(|v| v.writer() == Some(w))
-                    // lint: allow(panic) — the surrounding branch proved the writer is in this log
+                    .binary_search_by_key(&Some(w), |v| v.writer())
+                    // lint: allow(panic) — a value read must be a committed write of this item
                     .expect("read value must have been committed");
                 log.get(idx + 1).copied()
             }
@@ -125,6 +126,40 @@ mod tests {
         assert_eq!(h.touched_items(), 1);
         assert_eq!(h.total_writes(), 3);
         assert_eq!(h.writes_of(x).len(), 3);
+    }
+
+    #[test]
+    fn next_overwrite_finds_every_position() {
+        let mut h = WriteHistory::new();
+        let x = ItemId::new(1);
+        let log = [
+            val(1, 0),
+            val(1, 2),
+            val(2, 0),
+            val(4, 1),
+            val(5, 0),
+            val(7, 3),
+            val(9, 0),
+        ];
+        for &v in &log {
+            h.record(x, v);
+        }
+        // the initial value, the first, a middle and the last write
+        assert_eq!(h.next_overwrite(x, ItemValue::initial()), Some(log[0]));
+        assert_eq!(h.next_overwrite(x, log[0]), Some(log[1]));
+        assert_eq!(h.next_overwrite(x, log[3]), Some(log[4]));
+        assert_eq!(h.next_overwrite(x, log[6]), None);
+        // another item's log is independent
+        assert_eq!(h.next_overwrite(ItemId::new(2), ItemValue::initial()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must have been committed")]
+    fn unlogged_writer_between_logged_ones_panics() {
+        let mut h = WriteHistory::new();
+        h.record(ItemId::new(0), val(1, 0));
+        h.record(ItemId::new(0), val(3, 0));
+        let _ = h.next_overwrite(ItemId::new(0), val(2, 0));
     }
 
     #[test]

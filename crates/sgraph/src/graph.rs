@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bpush_types::{Cycle, QueryId};
+use bpush_types::{Cycle, QueryId, TxnId};
 
 use crate::diff::GraphDiff;
 use crate::node::Node;
@@ -59,9 +59,10 @@ impl DfsScratch {
 /// arrays rather than tree lookups:
 ///
 /// * [`SerializationGraph::path_exists`] /
-///   [`SerializationGraph::would_close_cycle`] walk id-based successor
-///   lists with an epoch-stamped visited array — no per-call allocation
-///   and no ordered-set probes;
+///   [`SerializationGraph::would_close_cycle`] and the bounded,
+///   early-exit [`SerializationGraph::find_reachable`] (the §2.2 audit's
+///   search) walk id-based successor lists with an epoch-stamped visited
+///   array — no per-call allocation and no ordered-set probes;
 /// * [`SerializationGraph::remove_query`] unlinks a node touching only
 ///   its in- and out-neighbors (the reverse index replaces the old
 ///   scan over every adjacency list);
@@ -282,24 +283,94 @@ impl SerializationGraph {
             (Some(&f), Some(&t)) => (f, t),
             _ => return false,
         };
+        self.search(from, None, |id| id == to).is_some()
+    }
+
+    /// The first node reachable from `from` that `accept` takes, in
+    /// depth-first order; `None` when there is none or `from` is unknown.
+    ///
+    /// This is the search behind [`SerializationGraph::path_exists`]:
+    /// successors are explored last-pushed-first over the id adjacency,
+    /// with the reusable epoch-stamped scratch, so it allocates nothing
+    /// once the graph has reached its steady-state size. `from` is marked
+    /// visited before the search starts: it is offered to `accept` only
+    /// when a cycle leads back to it, and never expanded twice. A node is
+    /// offered once per edge the search follows into it, so `accept` must
+    /// be a pure function of the node; it must not query this graph.
+    ///
+    /// With `bound = Some(b)`, transaction nodes newer than `b` are still
+    /// offered but never expanded (query nodes always are). On a
+    /// [commit-ordered](SerializationGraph::is_commit_ordered) graph that
+    /// loses nothing when `accept` only takes transactions `≤ b`: every
+    /// node past a transaction newer than `b` is newer still.
+    pub fn find_reachable(
+        &self,
+        from: Node,
+        bound: Option<TxnId>,
+        mut accept: impl FnMut(Node) -> bool,
+    ) -> Option<Node> {
+        let &from = self.index.get(&from)?;
+        let hit = self.search(from, bound, |id| {
+            self.nodes.get(id as usize).is_some_and(|&n| accept(n))
+        })?;
+        self.nodes.get(hit as usize).copied()
+    }
+
+    /// Whether every edge joins two transactions and runs from the
+    /// earlier commit to the later one. The server's conflict graph is
+    /// such a graph, since its edges follow the serial order; it is what
+    /// makes a bounded [`SerializationGraph::find_reachable`] exact.
+    /// O(nodes + edges).
+    pub fn is_commit_ordered(&self) -> bool {
+        self.index.iter().all(|(&node, &id)| {
+            let succ = self.out.get(id as usize).map_or(&[][..], Vec::as_slice);
+            match node {
+                Node::Txn(f) => succ.iter().all(|s| matches!(s, Node::Txn(t) if f < *t)),
+                Node::Query(_) => succ.is_empty(),
+            }
+        })
+    }
+
+    /// The id-level search shared by [`SerializationGraph::path_exists`]
+    /// and [`SerializationGraph::find_reachable`]: returns the first
+    /// popped id that `accept` takes, expanding each id at most once and
+    /// no transaction newer than `bound`.
+    fn search(
+        &self,
+        from: u32,
+        bound: Option<TxnId>,
+        mut accept: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        let beyond = |id: u32| {
+            bound.is_some_and(
+                |b| matches!(self.nodes.get(id as usize), Some(Node::Txn(t)) if *t > b),
+            )
+        };
         let mut scratch = self.scratch.borrow_mut();
         let epoch = scratch.begin(self.nodes.len());
         let DfsScratch { visited, stack, .. } = &mut *scratch;
-        // bpush-lint: allow(hot-alloc) — amortized: the reusable scratch stack grows to its high-water mark once
-        stack.extend_from_slice(&self.out_ids[from as usize]); // bpush-lint: allow(panic-reach) — from is an interned id < nodes.len()
+        if let Some(v) = visited.get_mut(from as usize) {
+            *v = epoch;
+        }
+        if !beyond(from) {
+            // bpush-lint: allow(hot-alloc) — amortized: the reusable scratch stack grows to its high-water mark once
+            stack.extend_from_slice(&self.out_ids[from as usize]); // bpush-lint: allow(panic-reach) — from is an interned id < nodes.len()
+        }
         while let Some(id) = stack.pop() {
-            if id == to {
-                return true;
+            if accept(id) {
+                return Some(id);
             }
             // bpush-lint: allow(panic-reach) — visited is sized to nodes.len() by scratch.begin
             if visited[id as usize] != epoch {
                 // bpush-lint: allow(panic-reach) — visited is sized to nodes.len() by scratch.begin
                 visited[id as usize] = epoch;
-                // bpush-lint: allow(hot-alloc, panic-reach) — amortized reusable scratch stack; id is always a live arena slot
-                stack.extend_from_slice(&self.out_ids[id as usize]);
+                if !beyond(id) {
+                    // bpush-lint: allow(hot-alloc, panic-reach) — amortized reusable scratch stack; id is always a live arena slot
+                    stack.extend_from_slice(&self.out_ids[id as usize]);
+                }
             }
         }
-        false
+        None
     }
 
     /// Whether inserting the edge `from → to` would close a cycle —
@@ -524,7 +595,6 @@ impl std::error::Error for CycleDetected {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpush_types::TxnId;
 
     fn t(cycle: u64, seq: u32) -> TxnId {
         TxnId::new(Cycle::new(cycle), seq)
@@ -571,6 +641,132 @@ mod tests {
         assert!(!g.path_exists(nt(0, 0), nt(9, 9)));
         // no self-path without a cycle
         assert!(!g.path_exists(nt(1, 0), nt(1, 0)));
+    }
+
+    /// Every node `find_reachable` offers, in order, for an `accept`
+    /// that takes nothing.
+    fn offered(g: &SerializationGraph, from: Node, bound: Option<TxnId>) -> Vec<Node> {
+        let mut seen = Vec::new();
+        let hit = g.find_reachable(from, bound, |n| {
+            seen.push(n);
+            false
+        });
+        assert_eq!(hit, None);
+        seen
+    }
+
+    #[test]
+    fn find_reachable_prunes_past_the_bound() {
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nt(2, 0));
+        g.add_edge(nt(1, 0), nt(5, 0));
+        g.add_edge(nt(5, 0), nt(6, 0));
+        assert!(g.is_commit_ordered());
+        // T5.0 is newer than the bound: offered, but not expanded
+        assert_eq!(
+            g.find_reachable(nt(1, 0), Some(t(2, 0)), |n| n == nt(5, 0)),
+            Some(nt(5, 0))
+        );
+        assert_eq!(
+            g.find_reachable(nt(1, 0), Some(t(2, 0)), |n| n == nt(6, 0)),
+            None
+        );
+        assert_eq!(
+            g.find_reachable(nt(1, 0), None, |n| n == nt(6, 0)),
+            Some(nt(6, 0))
+        );
+        // a source past the bound is not expanded either
+        assert_eq!(offered(&g, nt(5, 0), Some(t(2, 0))), vec![]);
+        assert_eq!(offered(&g, nt(5, 0), Some(t(5, 0))), vec![nt(6, 0)]);
+    }
+
+    #[test]
+    fn find_reachable_offers_a_cyclic_source_once_reached_again() {
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nt(2, 0));
+        g.add_edge(nt(2, 0), nt(1, 0));
+        g.add_edge(nt(2, 0), nt(3, 0));
+        assert!(!g.is_commit_ordered());
+        assert_eq!(
+            g.find_reachable(nt(1, 0), None, |n| n == nt(1, 0)),
+            Some(nt(1, 0))
+        );
+        // the source is offered on the way back but never re-expanded
+        assert_eq!(
+            offered(&g, nt(1, 0), None),
+            vec![nt(2, 0), nt(3, 0), nt(1, 0)]
+        );
+        // off a cycle, the source is never offered
+        assert_eq!(g.find_reachable(nt(3, 0), None, |_| true), None);
+    }
+
+    #[test]
+    fn find_reachable_expands_query_nodes_whatever_the_bound() {
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nq(0));
+        g.add_edge(nq(0), nt(9, 0));
+        g.add_edge(nt(9, 0), nq(1));
+        g.add_edge(nq(0), nq(2));
+        g.add_edge(nq(2), nt(0, 5));
+        assert!(!g.is_commit_ordered(), "query edges are not commit-ordered");
+        assert_eq!(
+            g.find_reachable(nt(1, 0), Some(t(1, 0)), |n| n == nt(0, 5)),
+            Some(nt(0, 5))
+        );
+        // T9.0 is past the bound, so the query behind it stays unseen
+        assert_eq!(
+            g.find_reachable(nt(1, 0), Some(t(1, 0)), |n| n == nq(1)),
+            None
+        );
+        assert_eq!(
+            g.find_reachable(nq(0), None, |n| matches!(n, Node::Query(_))),
+            Some(nq(2))
+        );
+    }
+
+    #[test]
+    fn find_reachable_from_an_unknown_source_is_none() {
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nt(2, 0));
+        assert_eq!(g.find_reachable(nt(7, 0), None, |_| true), None);
+        assert_eq!(g.find_reachable(nq(3), Some(t(9, 0)), |_| true), None);
+    }
+
+    #[test]
+    fn find_reachable_visits_in_path_exists_order() {
+        // T0 -> {T1, T2}; T1 -> T3; T2 -> {T3, T4}; T4 -> T5
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(0, 0), nt(1, 0));
+        g.add_edge(nt(0, 0), nt(2, 0));
+        g.add_edge(nt(1, 0), nt(3, 0));
+        g.add_edge(nt(2, 0), nt(3, 0));
+        g.add_edge(nt(2, 0), nt(4, 0));
+        g.add_edge(nt(4, 0), nt(5, 0));
+        g.add_node(nt(9, 0));
+        assert!(g.is_commit_ordered());
+        // last-pushed successor first; T3 is offered again via T1 but
+        // expanded only once
+        let order = offered(&g, nt(0, 0), None);
+        assert_eq!(
+            order,
+            vec![nt(2, 0), nt(4, 0), nt(5, 0), nt(3, 0), nt(1, 0), nt(3, 0)]
+        );
+        for n in g.nodes() {
+            assert_eq!(
+                g.path_exists(nt(0, 0), n),
+                order.contains(&n),
+                "reachability of {n} must agree with path_exists"
+            );
+            assert_eq!(
+                g.find_reachable(nt(0, 0), None, |m| m == n).is_some(),
+                g.path_exists(nt(0, 0), n)
+            );
+        }
+        // the first hit is the earliest accepted node in that order
+        assert_eq!(
+            g.find_reachable(nt(0, 0), None, |n| n == nt(3, 0) || n == nt(1, 0)),
+            Some(nt(3, 0))
+        );
     }
 
     #[test]

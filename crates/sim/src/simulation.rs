@@ -594,10 +594,10 @@ impl Simulation {
         let _validator_span =
             self.obs
                 .span("validator.check", Cycle::new(cycles), Actor::Validator);
-        // The batch checker memoizes per-overwriter reachability across
-        // the whole outcome set; the per-readset DFS form
-        // (`SerializabilityValidator::check_serializable`) remains the
-        // differential oracle in the test suites.
+        // One batch serves the whole outcome set; on the server's
+        // commit-ordered conflict graph each search stops at the
+        // readset's newest writer, which keeps the audit cheap enough to
+        // leave on.
         let mut batch =
             SerializabilityBatch::new(self.server.history(), self.server.conflict_graph());
         let mut violations = 0;
