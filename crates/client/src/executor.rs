@@ -9,15 +9,14 @@ use rand::SeedableRng;
 use bpush_broadcast::Bcast;
 use bpush_core::instrument::{Instrumented, ProtocolStats};
 use bpush_core::validator::ReadRecord;
-use bpush_core::{
-    AbortReason, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome, Source,
-};
+use bpush_core::{AbortReason, ReadDirective, ReadOnlyProtocol, ReadOutcome, Source};
 use bpush_obs::{Actor, EventKind, Obs};
 use bpush_types::config::ReadOrder;
 use bpush_types::zipf::AccessPattern;
 use bpush_types::{BpushError, ClientConfig, ClientId, Cycle, ItemId, QueryId, Slot};
 
 use crate::cache::ClientCache;
+use crate::session::{hear_cycle, miss_cycle, on_air};
 
 /// The fate of one query, with everything the experiments need.
 #[derive(Debug, Clone)]
@@ -64,45 +63,6 @@ impl QueryOutcome {
     }
 }
 
-/// Decides, read by read, whether the local cache may serve a lookup.
-///
-/// The executor consults the decider *before* probing the cache; a `false`
-/// answer forces the read onto the broadcast path even when the cache
-/// holds a suitable entry. The default (no decider installed) allows
-/// every lookup. Injecting a decider makes cache hit/miss behaviour a
-/// controlled input instead of an emergent one — deterministic
-/// experiments can pin it, and the `bpush-mc` model checker branches on
-/// exactly this decision point when it enumerates executions of the
-/// caching methods.
-pub trait CacheDecision: std::fmt::Debug {
-    /// Whether the cache may serve `item` for a read that must observe
-    /// the database state `state`.
-    fn allow_cache(&mut self, item: ItemId, state: Cycle) -> bool;
-}
-
-/// A [`CacheDecision`] replaying a fixed per-read script of answers;
-/// reads beyond the script allow the cache (the default behaviour).
-#[derive(Debug, Clone)]
-pub struct ScriptedCacheDecision {
-    script: Vec<bool>,
-    next: usize,
-}
-
-impl ScriptedCacheDecision {
-    /// One answer per cache-eligible read, in read order.
-    pub fn new(script: Vec<bool>) -> Self {
-        ScriptedCacheDecision { script, next: 0 }
-    }
-}
-
-impl CacheDecision for ScriptedCacheDecision {
-    fn allow_cache(&mut self, _item: ItemId, _state: Cycle) -> bool {
-        let allow = self.script.get(self.next).copied().unwrap_or(true);
-        self.next += 1;
-        allow
-    }
-}
-
 #[derive(Debug)]
 struct ActiveQuery {
     id: QueryId,
@@ -130,7 +90,6 @@ pub struct QueryExecutor {
     config: ClientConfig,
     protocol: Box<dyn ReadOnlyProtocol>,
     cache: Option<ClientCache>,
-    cache_decider: Option<Box<dyn CacheDecision>>,
     pattern: AccessPattern,
     rng: StdRng,
     next_query: QueryId,
@@ -173,7 +132,6 @@ impl QueryExecutor {
             config,
             protocol,
             cache,
-            cache_decider: None,
             pattern,
             rng: StdRng::seed_from_u64(seed),
             next_query: QueryId::new(0),
@@ -245,14 +203,6 @@ impl QueryExecutor {
         self.client
     }
 
-    /// Installs a [`CacheDecision`] gate consulted before every cache
-    /// lookup. Without one, every lookup is allowed.
-    #[must_use]
-    pub fn with_cache_decider(mut self, decider: Box<dyn CacheDecision>) -> Self {
-        self.cache_decider = Some(decider);
-        self
-    }
-
     /// Whether the query budget is exhausted and no query is in flight.
     pub fn is_done(&self) -> bool {
         self.queries_budget == 0 && self.active.is_none()
@@ -275,7 +225,7 @@ impl QueryExecutor {
         self.config.disconnect_prob > 0.0 && self.rng.gen::<f64>() < self.config.disconnect_prob
     }
 
-    fn start_query(&mut self, bcast: &Bcast, now: Slot) -> ActiveQuery {
+    fn start_query(&mut self, bcast: &Bcast) -> ActiveQuery {
         let id = self.next_query;
         self.next_query = id.next();
         self.queries_budget -= 1;
@@ -290,7 +240,7 @@ impl QueryExecutor {
             id,
             items,
             next: 0,
-            started: now,
+            started: self.cursor,
             cycles_read: std::collections::BTreeSet::new(),
             cache_reads: 0,
             broadcast_reads: 0,
@@ -299,13 +249,19 @@ impl QueryExecutor {
         }
     }
 
-    fn finish(
+    /// Ends the active query — committed when `aborted` is `None` — at
+    /// the cursor, then moves on after a minimal regrouping pause.
+    fn end_active(
         &mut self,
-        aq: ActiveQuery,
         aborted: Option<AbortReason>,
-        now: Slot,
         cycle: Cycle,
-    ) -> QueryOutcome {
+    ) -> Result<QueryOutcome, BpushError> {
+        let aq = self
+            .active
+            .take()
+            .ok_or_else(|| BpushError::internal("no active query to end"))?;
+        let now = self.cursor;
+        self.cursor = now.plus(1);
         self.protocol.finish_query(aq.id);
         if self.obs.is_enabled() {
             let actor = Actor::Client(self.client.index());
@@ -329,7 +285,7 @@ impl QueryExecutor {
             }
             self.obs.record("query.tuning.slots", aq.tuning_slots);
         }
-        QueryOutcome {
+        Ok(QueryOutcome {
             client: self.client,
             id: aq.id,
             aborted,
@@ -342,49 +298,7 @@ impl QueryExecutor {
             broadcast_reads: aq.broadcast_reads,
             tuning_slots: aq.tuning_slots,
             reads: aq.reads,
-        }
-    }
-
-    /// A broadcast candidate for `item` current at `state`, with the slot
-    /// (within the bcast) that carries it. For current-version reads the
-    /// slot is the next occurrence at or after `not_before` — under the
-    /// broadcast-disk organization an item airs several times per cycle,
-    /// and a read issued after the first repetition must still catch a
-    /// later one. Falls back to the first occurrence (caller waits a
-    /// cycle) when all repetitions have passed.
-    fn broadcast_candidate(
-        bcast: &Bcast,
-        item: ItemId,
-        state: Cycle,
-        not_before: u64,
-    ) -> Option<(u64, ReadCandidate)> {
-        let record = bcast.current(item)?;
-        if record.value().version() <= state {
-            let slot = bcast
-                .next_slot_of_current(item, not_before)
-                .or_else(|| bcast.slot_of_current(item))?;
-            return Some((slot, ReadCandidate::from_broadcast(record)));
-        }
-        // walk the old-version chain; it is in reverse chronological
-        // order, so the successor of each entry is the previous one
-        let chain = bcast.old_versions_of(item);
-        let mut successor = record.value().version();
-        for &(slot, value) in chain {
-            if value.version() <= state {
-                let cand = ReadCandidate {
-                    value,
-                    last_writer_tag: value.writer(),
-                    valid_from: value.version(),
-                    valid_until: Some(successor),
-                    source: Source::BroadcastOld,
-                };
-                // a retention gap would make the candidate invalid; treat
-                // it as off-air rather than serve a wrong version
-                return cand.current_at(state).then_some((slot, cand));
-            }
-            successor = value.version();
-        }
-        None
+        })
     }
 
     /// Runs the client over one broadcast cycle. `cycle_start` is the
@@ -408,20 +322,13 @@ impl QueryExecutor {
         let mut out = Vec::new();
 
         if !connected {
-            self.protocol.on_missed_cycle(bcast.cycle());
-            if let Some(cache) = &mut self.cache {
-                cache.on_missed_cycle(bcast.cycle());
-            }
+            miss_cycle(&mut *self.protocol, self.cache.as_mut(), bcast.cycle());
             self.cursor = self.cursor.max(cycle_end);
             return Ok(out);
         }
 
         // Hear the control segment, keep the cache coherent.
-        self.protocol.on_control(bcast.control());
-        if let Some(cache) = &mut self.cache {
-            cache.on_report(bcast.control().invalidation());
-            cache.autoprefetch(bcast);
-        }
+        hear_cycle(&mut *self.protocol, self.cache.as_mut(), bcast);
         // Reading the control segment occupies its slots; a query alive
         // across the boundary pays that listening cost (§2.1).
         if let Some(aq) = &mut self.active {
@@ -435,194 +342,112 @@ impl QueryExecutor {
                 if self.queries_budget == 0 {
                     break;
                 }
-                let now = self.cursor;
-                let aq = self.start_query(bcast, now);
-                self.active = Some(aq);
+                self.active = Some(self.start_query(bcast));
             }
             let Some(aq) = self.active.as_mut() else {
                 return Err(BpushError::internal("no active query after ensuring one"));
             };
             let item = aq.items[aq.next];
-
-            match self.protocol.read_directive(aq.id, item, bcast.cycle()) {
+            let cycle = bcast.cycle();
+            let constraint = match self.protocol.read_directive(aq.id, item, cycle) {
+                ReadDirective::Read(constraint) => constraint,
                 ReadDirective::Doom(reason) => {
-                    let Some(aq) = self.active.take() else {
-                        return Err(BpushError::internal("active query vanished mid-doom"));
-                    };
-                    let now = self.cursor;
-                    out.push(self.finish(aq, Some(reason), now, bcast.cycle()));
-                    // move on after a minimal regrouping pause
-                    self.cursor = self.cursor.plus(1);
+                    out.push(self.end_active(Some(reason), cycle)?);
+                    continue;
                 }
-                ReadDirective::Read(constraint) => {
-                    // 1. Try the cache (unless the injected decision
-                    //    point routes this read to the broadcast).
-                    let cache_allowed = match &mut self.cache_decider {
-                        Some(d) => d.allow_cache(item, constraint.state),
-                        None => true,
-                    };
-                    let cached = if cache_allowed {
-                        self.cache
-                            .as_mut()
-                            .and_then(|c| c.lookup(item, constraint.state))
-                    } else {
-                        None
-                    };
-                    if self.obs.is_enabled() && self.cache.is_some() && cache_allowed {
-                        let kind = match cached {
-                            Some(_) => EventKind::CacheHit { item: item.index() },
-                            None => EventKind::CacheMiss { item: item.index() },
-                        };
-                        self.obs
-                            .emit(bcast.cycle(), Actor::Client(self.client.index()), kind);
-                    }
-                    let (candidate, read_slot) = match cached {
-                        Some(c) => (Some(c), None),
-                        None if constraint.cache_only => (None, None),
-                        None => {
-                            // 2. Fall back to the broadcast. Without a
-                            // locally stored directory (§2.1), the client
-                            // must first locate the item: via the next
-                            // on-air index copy when one exists, or by
-                            // scanning the channel otherwise.
-                            let mut in_cycle = self.cursor.since(cycle_start);
-                            let mut probe_tuning = 0u64;
-                            let mut scanning = false;
-                            if !self.config.has_directory {
-                                if bcast.index_slots().is_empty() {
-                                    scanning = true;
-                                } else {
-                                    match bcast.next_index_slot(in_cycle) {
-                                        Some(i) => {
-                                            // doze to the index copy, probe it
-                                            in_cycle = i + 1;
-                                            probe_tuning = 1;
-                                        }
-                                        None => {
-                                            // no index copy left this cycle
-                                            self.cursor = cycle_end;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            match Self::broadcast_candidate(bcast, item, constraint.state, in_cycle)
-                            {
-                                None => (None, None),
-                                Some((slot, mut cand)) => {
-                                    // Without versions on air (plain and
-                                    // versioned cache modes), the client
-                                    // only knows what its report stream
-                                    // proves: clamp the candidate's
-                                    // validity to the provable floor.
-                                    if cand.source == Source::BroadcastCurrent {
-                                        if let Some(cache) = &self.cache {
-                                            if cache.params().mode
-                                                != bpush_core::CacheMode::Multiversion
-                                            {
-                                                cand.valid_from = cache
-                                                    .provable_floor(item)
-                                                    .unwrap_or(bcast.cycle());
-                                            }
-                                        }
-                                    }
-                                    if !cand.current_at(constraint.state) {
-                                        // on air, but not provably part of
-                                        // the required snapshot
-                                        (None, None)
-                                    } else if slot < in_cycle {
-                                        // already passed: wait for the
-                                        // next bcast
-                                        self.cursor = cycle_end;
-                                        break;
-                                    } else {
-                                        if scanning {
-                                            // listened to everything from
-                                            // the current position to the
-                                            // item (§2.1 energy cost)
-                                            probe_tuning = slot - in_cycle;
-                                        }
-                                        aq.tuning_slots += probe_tuning;
-                                        (Some(cand), Some(slot))
-                                    }
-                                }
-                            }
+            };
+
+            // 1. Try the cache.
+            let cached = self
+                .cache
+                .as_mut()
+                .and_then(|c| c.lookup(item, constraint.state));
+            if self.obs.is_enabled() && self.cache.is_some() {
+                let kind = match cached {
+                    Some(_) => EventKind::CacheHit { item: item.index() },
+                    None => EventKind::CacheMiss { item: item.index() },
+                };
+                self.obs
+                    .emit(cycle, Actor::Client(self.client.index()), kind);
+            }
+            let (candidate, read_slot) = match cached {
+                Some(c) => (Some(c), None),
+                None if constraint.cache_only => (None, None),
+                None => {
+                    // 2. Fall back to the broadcast. Without a locally
+                    // stored directory (§2.1), the client must first
+                    // locate the item: via the next on-air index copy
+                    // when one exists, or by scanning the channel
+                    // otherwise.
+                    let mut in_cycle = self.cursor.since(cycle_start);
+                    let mut probe_tuning = 0u64;
+                    let mut scanning = false;
+                    if !self.config.has_directory {
+                        if bcast.index_slots().is_empty() {
+                            scanning = true;
+                        } else if let Some(i) = bcast.next_index_slot(in_cycle) {
+                            // doze to the index copy, probe it
+                            in_cycle = i + 1;
+                            probe_tuning = 1;
+                        } else {
+                            // no index copy left this cycle
+                            self.cursor = cycle_end;
+                            break;
                         }
-                    };
-
-                    let Some(candidate) = candidate else {
-                        let Some(aq) = self.active.take() else {
-                            return Err(BpushError::internal(
-                                "active query vanished on an unavailable version",
-                            ));
-                        };
-                        let now = self.cursor;
-                        out.push(self.finish(
-                            aq,
-                            Some(AbortReason::VersionUnavailable),
-                            now,
-                            bcast.cycle(),
-                        ));
-                        self.cursor = self.cursor.plus(1);
-                        continue;
-                    };
-
-                    // Account the tuning time for a broadcast read.
-                    if let Some(slot) = read_slot {
-                        self.cursor = cycle_start.plus(slot + 1);
                     }
-                    if self.cursor > cycle_end {
-                        self.cursor = cycle_end;
-                    }
-
-                    match self
-                        .protocol
-                        .apply_read(aq.id, item, &candidate, bcast.cycle())
-                    {
-                        ReadOutcome::Rejected(reason) => {
-                            let Some(aq) = self.active.take() else {
-                                return Err(BpushError::internal(
-                                    "active query vanished on a rejected read",
-                                ));
-                            };
-                            let now = self.cursor;
-                            out.push(self.finish(aq, Some(reason), now, bcast.cycle()));
-                            self.cursor = self.cursor.plus(1);
+                    match on_air(bcast, item, constraint.state, in_cycle, self.cache.as_ref()) {
+                        None => (None, None),
+                        Some((slot, _)) if slot < in_cycle => {
+                            // already passed: wait for the next bcast
+                            self.cursor = cycle_end;
+                            break;
                         }
-                        ReadOutcome::Accepted => {
-                            if candidate.source.is_cache() {
-                                aq.cache_reads += 1;
-                            } else {
-                                aq.broadcast_reads += 1;
-                                aq.tuning_slots += 1; // the data bucket itself
-                                aq.cycles_read.insert(bcast.cycle());
-                                // demand-cache current values
-                                if candidate.source == Source::BroadcastCurrent {
-                                    if let (Some(cache), Some(rec)) =
-                                        (&mut self.cache, bcast.current(item))
-                                    {
-                                        cache.insert_from_broadcast(rec, bcast.cycle());
-                                    }
-                                }
+                        Some((slot, cand)) => {
+                            if scanning {
+                                // listened to everything from the current
+                                // position to the item (§2.1 energy cost)
+                                probe_tuning = slot - in_cycle;
                             }
-                            aq.reads.push(ReadRecord::new(item, candidate.value));
-                            aq.next += 1;
-                            if aq.next == aq.items.len() {
-                                let Some(aq) = self.active.take() else {
-                                    return Err(BpushError::internal(
-                                        "active query vanished on commit",
-                                    ));
-                                };
-                                let now = self.cursor;
-                                out.push(self.finish(aq, None, now, bcast.cycle()));
-                                self.cursor = self.cursor.plus(1);
-                            } else {
-                                self.cursor =
-                                    self.cursor.plus(u64::from(self.config.think_time).max(1));
-                            }
+                            aq.tuning_slots += probe_tuning;
+                            (Some(cand), Some(slot))
                         }
                     }
                 }
+            };
+            let Some(candidate) = candidate else {
+                out.push(self.end_active(Some(AbortReason::VersionUnavailable), cycle)?);
+                continue;
+            };
+
+            // Account the tuning time for a broadcast read.
+            if let Some(slot) = read_slot {
+                self.cursor = cycle_start.plus(slot + 1).min(cycle_end);
+            }
+            if let ReadOutcome::Rejected(reason) =
+                self.protocol.apply_read(aq.id, item, &candidate, cycle)
+            {
+                out.push(self.end_active(Some(reason), cycle)?);
+                continue;
+            }
+            if candidate.source.is_cache() {
+                aq.cache_reads += 1;
+            } else {
+                aq.broadcast_reads += 1;
+                aq.tuning_slots += 1; // the data bucket itself
+                aq.cycles_read.insert(cycle);
+                // demand-cache current values
+                if candidate.source == Source::BroadcastCurrent {
+                    if let (Some(cache), Some(rec)) = (&mut self.cache, bcast.current(item)) {
+                        cache.insert_from_broadcast(rec, cycle);
+                    }
+                }
+            }
+            aq.reads.push(ReadRecord::new(item, candidate.value));
+            aq.next += 1;
+            if aq.next == aq.items.len() {
+                out.push(self.end_active(None, cycle)?);
+            } else {
+                self.cursor = self.cursor.plus(u64::from(self.config.think_time).max(1));
             }
         }
         self.cursor = self.cursor.max(cycle_end);
@@ -785,44 +610,6 @@ mod tests {
         );
         let cached_total: u32 = with_cache.iter().map(|o| o.cache_reads).sum();
         assert!(cached_total > 0, "cache reads happen");
-    }
-
-    #[test]
-    fn cache_decider_forces_broadcast_reads() {
-        let run_with = |deny_cache: bool| -> (u32, u32) {
-            let mut server =
-                BroadcastServer::new(server_config(), ServerOptions::plain(), 3).unwrap();
-            let mut exec = executor_for(Method::InvalidationCache, 20);
-            if deny_cache {
-                exec = exec
-                    .with_cache_decider(Box::new(ScriptedCacheDecision::new(vec![false; 1000])));
-            }
-            let mut outcomes = Vec::new();
-            let mut start = Slot::ZERO;
-            for _ in 0..80 {
-                let bcast = server.run_cycle();
-                outcomes.extend(exec.run_cycle(&bcast, start, true).unwrap());
-                start = start.plus(bcast.total_slots());
-            }
-            (
-                outcomes.iter().map(|o| o.cache_reads).sum(),
-                outcomes.iter().map(|o| o.broadcast_reads).sum(),
-            )
-        };
-        let (hits_allowed, _) = run_with(false);
-        let (hits_denied, bcast_denied) = run_with(true);
-        assert!(hits_allowed > 0, "control run must see cache hits");
-        assert_eq!(hits_denied, 0, "denied decider forces every read on air");
-        assert!(bcast_denied > 0);
-    }
-
-    #[test]
-    fn scripted_cache_decision_defaults_to_allow_past_script() {
-        let mut d = ScriptedCacheDecision::new(vec![false, true]);
-        let x = ItemId::new(0);
-        assert!(!d.allow_cache(x, Cycle::ZERO));
-        assert!(d.allow_cache(x, Cycle::ZERO));
-        assert!(d.allow_cache(x, Cycle::ZERO), "exhausted script allows");
     }
 
     #[test]

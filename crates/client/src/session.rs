@@ -17,15 +17,103 @@
 //!   tune to slot, hear x  ──────▶ deliver(t, x)  → value
 //!   commit(t)             ──────▶ readset (consistent!) or abort reason
 //! ```
+//!
+//! The module also owns the read rule every client shares: `hear_cycle`
+//! / `miss_cycle` keep protocol and cache in step with the cycles, and
+//! `on_air` finds the bucket proving a version current. The executor
+//! and the session call them; the [`WireClient`](crate::WireClient)
+//! runs its transactions through a session.
 
-use bpush_broadcast::Bcast;
+use bpush_broadcast::{Bcast, ControlInfo};
 use bpush_core::validator::ReadRecord;
 use bpush_core::{
-    AbortReason, CacheMode, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome, Source,
+    AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
+    ReadOutcome, Source,
 };
-use bpush_types::{Cycle, ItemId, QueryId};
+use bpush_types::{Cycle, ItemId, ItemValue, QueryId};
 
 use crate::cache::ClientCache;
+
+/// Hears a cycle: the protocol processes the control segment, and the
+/// cache applies the invalidation report and autoprefetches (§4).
+pub(crate) fn hear_cycle(
+    protocol: &mut dyn ReadOnlyProtocol,
+    cache: Option<&mut ClientCache>,
+    bcast: &Bcast,
+) {
+    protocol.on_control(bcast.control());
+    if let Some(cache) = cache {
+        cache.on_report(bcast.control().invalidation());
+        cache.autoprefetch(bcast);
+    }
+}
+
+/// Misses `cycle` entirely (a disconnection): the protocol and the cache
+/// both learn that its report went unheard.
+pub(crate) fn miss_cycle(
+    protocol: &mut dyn ReadOnlyProtocol,
+    cache: Option<&mut ClientCache>,
+    cycle: Cycle,
+) {
+    protocol.on_missed_cycle(cycle);
+    if let Some(cache) = cache {
+        cache.on_missed_cycle(cycle);
+    }
+}
+
+/// The slot of `bcast` and the candidate that prove `item` current at
+/// database state `state`, for a client listening from slot `position`.
+///
+/// * A current version no newer than `state` airs at its next
+///   repetition at or after `position` (broadcast disks air an item
+///   several times per cycle, §7), else at its first one: a slot before
+///   `position` means the client must wait for the next bcast.
+/// * Otherwise the old-version chain (§3.2) supplies the newest version
+///   no newer than `state`.
+/// * Without versions on air (a non-multiversion cache), the client only
+///   knows what its report stream proves: a current version's validity
+///   is clamped to the cache's provable floor (§4).
+///
+/// `None` when no version on air is provably current at `state` —
+/// clamped past it, or behind a retention gap in the chain.
+pub(crate) fn on_air(
+    bcast: &Bcast,
+    item: ItemId,
+    state: Cycle,
+    position: u64,
+    cache: Option<&ClientCache>,
+) -> Option<(u64, ReadCandidate)> {
+    let record = bcast.current(item)?;
+    let (slot, cand) = if record.value().version() <= state {
+        let slot = bcast
+            .next_slot_of_current(item, position)
+            .or_else(|| bcast.slot_of_current(item))?;
+        let mut cand = ReadCandidate::from_broadcast(record);
+        if let Some(cache) = cache.filter(|c| c.params().mode != CacheMode::Multiversion) {
+            cand.valid_from = cache.provable_floor(item).unwrap_or(bcast.cycle());
+        }
+        (slot, cand)
+    } else {
+        // the chain runs newest first, so each entry's successor is the
+        // entry before it (the current version for the first)
+        let chain = bcast.old_versions_of(item);
+        let successors = std::iter::once(record.value().version())
+            .chain(chain.iter().map(|&(_, value)| value.version()));
+        let (&(slot, value), successor) = chain
+            .iter()
+            .zip(successors)
+            .find(|(&(_, value), _)| value.version() <= state)?;
+        let cand = ReadCandidate {
+            value,
+            last_writer_tag: value.writer(),
+            valid_from: value.version(),
+            valid_until: Some(successor),
+            source: Source::BroadcastOld,
+        };
+        (slot, cand)
+    };
+    cand.current_at(state).then_some((slot, cand))
+}
 
 /// Where the next read of a transaction will come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +134,7 @@ pub enum ReadStep {
 
 /// Handle to an in-flight read-only transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxnHandle(QueryId);
+pub struct TxnHandle(pub(crate) QueryId);
 
 #[derive(Debug)]
 struct ActiveTxn {
@@ -125,20 +213,13 @@ impl BroadcastSession {
     /// Processes the control segment of a freshly heard bcast. Call once
     /// per cycle, before any read of that cycle.
     pub fn on_bcast(&mut self, bcast: &Bcast) {
-        self.protocol.on_control(bcast.control());
-        if let Some(cache) = &mut self.cache {
-            cache.on_report(bcast.control().invalidation());
-            cache.autoprefetch(bcast);
-        }
+        hear_cycle(&mut *self.protocol, self.cache.as_mut(), bcast);
         self.now = Some(bcast.cycle());
     }
 
     /// Tells the session the client missed `cycle` entirely.
     pub fn on_missed_cycle(&mut self, cycle: Cycle) {
-        self.protocol.on_missed_cycle(cycle);
-        if let Some(cache) = &mut self.cache {
-            cache.on_missed_cycle(cycle);
-        }
+        miss_cycle(&mut *self.protocol, self.cache.as_mut(), cycle);
     }
 
     /// Starts a read-only transaction.
@@ -146,8 +227,7 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if no bcast has been heard yet ([`BroadcastSession::on_bcast`]).
     pub fn begin(&mut self) -> TxnHandle {
-        // lint: allow(panic) — documented panic: callers must hear a bcast first
-        let now = self.now.expect("hear a bcast before starting transactions");
+        let now = self.heard();
         let id = self.next_id;
         self.next_id = id.next();
         self.protocol.begin_query(id, now);
@@ -189,36 +269,24 @@ impl BroadcastSession {
         bcast: &Bcast,
         position: u64,
     ) -> Result<ReadStep, AbortReason> {
-        let idx = self.txn_index(handle);
         let now = bcast.cycle();
-        let constraint = match self.protocol.read_directive(handle.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
-            }
-            ReadDirective::Read(c) => c,
-        };
+        let constraint = self.constraint(handle, item, now)?;
         // 1. cache
-        if let Some(cand) = self
+        let cached = self
             .cache
             .as_mut()
-            .and_then(|c| c.lookup(item, constraint.state))
-        {
-            return self.apply(idx, item, &cand, now).map(|()| ReadStep::Done);
-        }
-        if constraint.cache_only {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
-        }
+            .and_then(|c| c.lookup(item, constraint.state));
         // 2. broadcast: where is the value?
-        match Self::locate(bcast, item, constraint.state, self.cache.as_ref()) {
-            None => {
-                self.drop_txn(idx);
-                Err(AbortReason::VersionUnavailable)
+        if cached.is_none() && !constraint.cache_only {
+            match on_air(bcast, item, constraint.state, position, self.cache.as_ref()) {
+                Some((slot, _)) if slot < position => return Ok(ReadStep::NextCycle),
+                Some((slot, _)) => return Ok(ReadStep::Tune { slot }),
+                None => {}
             }
-            Some((slot, _)) if slot < position => Ok(ReadStep::NextCycle),
-            Some((slot, _)) => Ok(ReadStep::Tune { slot }),
         }
+        // a cache hit completes here; no version at all aborts
+        self.apply(handle, item, cached, now)
+            .map(|_| ReadStep::Done)
     }
 
     /// [`BroadcastSession::read_at`] from the beginning of the bcast.
@@ -251,93 +319,18 @@ impl BroadcastSession {
         handle: TxnHandle,
         item: ItemId,
         bcast: &Bcast,
-    ) -> Result<bpush_types::ItemValue, AbortReason> {
-        let idx = self.txn_index(handle);
+    ) -> Result<ItemValue, AbortReason> {
         let now = bcast.cycle();
-        let constraint = match self.protocol.read_directive(handle.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
-            }
-            ReadDirective::Read(c) => c,
-        };
-        let Some((_, cand)) = Self::locate(bcast, item, constraint.state, self.cache.as_ref())
-        else {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
-        };
-        let value = cand.value;
-        self.apply(idx, item, &cand, now)?;
+        let state = self.constraint(handle, item, now)?.state;
+        let cand = on_air(bcast, item, state, 0, self.cache.as_ref()).map(|(_, c)| c);
+        let value = self.apply(handle, item, cand, now)?;
         // demand-cache current values, as a real client would
-        if cand.source == Source::BroadcastCurrent {
+        if cand.is_some_and(|c| c.source == Source::BroadcastCurrent) {
             if let (Some(cache), Some(rec)) = (&mut self.cache, bcast.current(item)) {
                 cache.insert_from_broadcast(rec, now);
             }
         }
         Ok(value)
-    }
-
-    fn apply(
-        &mut self,
-        idx: usize,
-        item: ItemId,
-        cand: &ReadCandidate,
-        now: Cycle,
-    ) -> Result<(), AbortReason> {
-        let id = self.active[idx].id;
-        match self.protocol.apply_read(id, item, cand, now) {
-            ReadOutcome::Accepted => {
-                self.active[idx]
-                    .reads
-                    .push(ReadRecord::new(item, cand.value));
-                Ok(())
-            }
-            ReadOutcome::Rejected(reason) => {
-                self.drop_txn(idx);
-                Err(reason)
-            }
-        }
-    }
-
-    fn locate(
-        bcast: &Bcast,
-        item: ItemId,
-        state: Cycle,
-        cache: Option<&ClientCache>,
-    ) -> Option<(u64, ReadCandidate)> {
-        let record = bcast.current(item)?;
-        if record.value().version() <= state {
-            let slot = bcast.slot_of_current(item)?;
-            let mut cand = ReadCandidate::from_broadcast(record);
-            // without versions on air, clamp validity to report knowledge
-            if let Some(cache) = cache {
-                if cache.params().mode != CacheMode::Multiversion {
-                    cand.valid_from = cache.provable_floor(item).unwrap_or(bcast.cycle());
-                }
-            }
-            return cand.current_at(state).then_some((slot, cand));
-        }
-        let chain = bcast.old_versions_of(item);
-        let mut successor = record.value().version();
-        for &(slot, value) in chain {
-            if value.version() <= state {
-                let cand = ReadCandidate {
-                    value,
-                    last_writer_tag: value.writer(),
-                    valid_from: value.version(),
-                    valid_until: Some(successor),
-                    source: Source::BroadcastOld,
-                };
-                return cand.current_at(state).then_some((slot, cand));
-            }
-            successor = value.version();
-        }
-        None
-    }
-
-    fn drop_txn(&mut self, idx: usize) {
-        let txn = self.active.remove(idx);
-        self.protocol.finish_query(txn.id);
     }
 
     /// Commits the transaction, returning its (consistent) readset.
@@ -350,10 +343,7 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn commit(&mut self, handle: TxnHandle) -> Result<Vec<ReadRecord>, AbortReason> {
-        let idx = self.txn_index(handle);
-        let txn = self.active.remove(idx);
-        self.protocol.finish_query(txn.id);
-        Ok(txn.reads)
+        Ok(self.finish(handle))
     }
 
     /// Abandons the transaction.
@@ -361,8 +351,96 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn abort(&mut self, handle: TxnHandle) {
+        self.finish(handle);
+    }
+
+    /// The wrapped protocol.
+    pub(crate) fn protocol(&self) -> &dyn ReadOnlyProtocol {
+        &*self.protocol
+    }
+
+    /// The cycle of the last control segment heard, if any.
+    pub(crate) fn now(&self) -> Option<Cycle> {
+        self.now
+    }
+
+    /// The cycle of the last control segment heard.
+    ///
+    /// # Panics
+    /// Panics if none has been heard yet.
+    pub(crate) fn heard(&self) -> Cycle {
+        // lint: allow(panic) — documented panic: callers must hear a bcast first
+        self.now.expect("hear a bcast before starting transactions")
+    }
+
+    /// Hears a bare control segment — a client without a cache or a
+    /// [`Bcast`] in hand (the wire client decodes only the segments).
+    pub(crate) fn on_control(&mut self, control: &ControlInfo) {
+        self.protocol.on_control(control);
+        self.now = Some(control.cycle());
+    }
+
+    /// The protocol's constraint on `handle` reading `item` at `now`; a
+    /// doomed transaction is dropped and its abort reason returned.
+    pub(crate) fn constraint(
+        &mut self,
+        handle: TxnHandle,
+        item: ItemId,
+        now: Cycle,
+    ) -> Result<ReadConstraint, AbortReason> {
         let idx = self.txn_index(handle);
-        self.drop_txn(idx);
+        match self.protocol.read_directive(handle.0, item, now) {
+            ReadDirective::Read(constraint) => Ok(constraint),
+            ReadDirective::Doom(reason) => {
+                self.drop_txn(idx);
+                Err(reason)
+            }
+        }
+    }
+
+    /// Offers `candidate` to the protocol: an accepted value joins the
+    /// readset; a rejected one — or no candidate at all, meaning no
+    /// version current at the constraint's state is to be had — drops
+    /// the transaction.
+    pub(crate) fn apply(
+        &mut self,
+        handle: TxnHandle,
+        item: ItemId,
+        candidate: Option<ReadCandidate>,
+        now: Cycle,
+    ) -> Result<ItemValue, AbortReason> {
+        let idx = self.txn_index(handle);
+        let Some(cand) = candidate else {
+            self.drop_txn(idx);
+            return Err(AbortReason::VersionUnavailable);
+        };
+        match self.protocol.apply_read(handle.0, item, &cand, now) {
+            ReadOutcome::Accepted => {
+                self.active[idx]
+                    .reads
+                    .push(ReadRecord::new(item, cand.value));
+                Ok(cand.value)
+            }
+            ReadOutcome::Rejected(reason) => {
+                self.drop_txn(idx);
+                Err(reason)
+            }
+        }
+    }
+
+    /// Ends the transaction's query at the protocol and returns its
+    /// readset.
+    ///
+    /// # Panics
+    /// Panics if the handle is unknown.
+    pub(crate) fn finish(&mut self, handle: TxnHandle) -> Vec<ReadRecord> {
+        self.drop_txn(self.txn_index(handle))
+    }
+
+    fn drop_txn(&mut self, idx: usize) -> Vec<ReadRecord> {
+        let txn = self.active.remove(idx);
+        self.protocol.finish_query(txn.id);
+        txn.reads
     }
 }
 
@@ -540,6 +618,39 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!(s.commit(t).unwrap().len(), 1);
+    }
+
+    /// Broadcast disks air a hot item several times per cycle (§7): a
+    /// read issued after its first repetition tunes to the next one
+    /// instead of waiting a cycle.
+    #[test]
+    fn read_at_tunes_to_a_later_disk_repetition() {
+        use bpush_broadcast::organization::DiskSpec;
+        use bpush_server::BroadcastMode;
+        let disks = [(20, 2), (80, 1)].map(|(items, rel_freq)| DiskSpec { items, rel_freq });
+        let disks = ServerOptions {
+            mode: BroadcastMode::Disks(disks.to_vec()),
+            sgt_info: false,
+        };
+        let config = ServerConfig {
+            broadcast_size: 100,
+            update_range: 50,
+            server_read_range: 100,
+            ..ServerConfig::default()
+        };
+        let mut srv = BroadcastServer::new(config, disks, 0).unwrap();
+        let mut s = BroadcastSession::new(Method::InvalidationOnly.build_protocol(), None);
+        let b = srv.run_cycle();
+        s.on_bcast(&b);
+        let item = ItemId::new(0);
+        assert_eq!(b.occurrences_of(item), &[0, 60]);
+        let t = s.begin();
+        assert_eq!(
+            s.read_at(t, item, &b, 1).unwrap(),
+            ReadStep::Tune { slot: 60 }
+        );
+        s.deliver(t, item, &b).unwrap();
         assert_eq!(s.commit(t).unwrap().len(), 1);
     }
 

@@ -1,7 +1,7 @@
 //! The wire-fed client: bytes in, directives out.
 //!
 //! [`WireClient`] is the sans-IO form of
-//! [`BroadcastSession`](crate::BroadcastSession): where the session
+//! [`BroadcastSession`]: where the session
 //! consumes in-memory
 //! [`Bcast`](bpush_broadcast::Bcast) structs, the wire client consumes
 //! the framed byte stream a transport delivers
@@ -9,9 +9,11 @@
 //! control reports, data records, the directory — from the segments
 //! alone. It owns no socket and no clock: the embedding transport calls
 //! [`WireClient::push`] with whatever bytes arrived (any chunking), and
-//! the client surfaces [`ReadDirective`]s and read outcomes. The same
-//! state machine therefore runs unmodified under the simulator, the
-//! model checker, and a future socket transport.
+//! the client surfaces [`ReadDirective`]s and read outcomes. What is
+//! specific to the wire is kept here — the feed, the decoded records,
+//! the directory; the transactions and the read rule are the session's.
+//! (The simulator and the model checker feed their protocols through
+//! the codec with [`bpush_core::wirefed::WireFed`] instead.)
 //!
 //! ```text
 //! transport loop:                 wire client:
@@ -27,12 +29,14 @@ use bpush_broadcast::feed::{decode_segment, DecodedSegment, WireFeed};
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Directory, ItemRecord};
 use bpush_core::validator::ReadRecord;
-use bpush_core::{AbortReason, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome};
-use bpush_types::{BpushError, Cycle, ItemId, ItemValue, QueryId};
+use bpush_core::{AbortReason, ReadCandidate, ReadDirective, ReadOnlyProtocol};
+use bpush_types::{BpushError, Cycle, ItemId, ItemValue};
+
+use crate::session::{BroadcastSession, TxnHandle};
 
 /// Handle to an in-flight read-only transaction on a [`WireClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTxn(QueryId);
+pub struct WireTxn(TxnHandle);
 
 /// A client fed by the broadcast byte stream instead of in-memory
 /// structs.
@@ -63,14 +67,11 @@ pub struct WireTxn(QueryId);
 /// ```
 #[derive(Debug)]
 pub struct WireClient {
-    protocol: Box<dyn ReadOnlyProtocol>,
+    session: BroadcastSession,
     params: WireParams,
     feed: WireFeed,
-    now: Option<Cycle>,
     records: BTreeMap<ItemId, ItemRecord>,
     directory: Option<Directory>,
-    next_id: QueryId,
-    active: Vec<(QueryId, Vec<ReadRecord>)>,
 }
 
 impl WireClient {
@@ -78,30 +79,27 @@ impl WireClient {
     /// deployment's agreed wire widths (both ends must use the same).
     pub fn new(protocol: Box<dyn ReadOnlyProtocol>, params: WireParams) -> Self {
         WireClient {
-            protocol,
+            session: BroadcastSession::new(protocol, None),
             params,
             feed: WireFeed::new(),
-            now: None,
             records: BTreeMap::new(),
             directory: None,
-            next_id: QueryId::new(0),
-            active: Vec::new(),
         }
     }
 
     /// The protocol's reporting name.
     pub fn protocol_name(&self) -> &'static str {
-        self.protocol.name()
+        self.session.protocol_name()
     }
 
     /// The wrapped protocol (e.g. to snapshot or read its counters).
     pub fn protocol(&self) -> &dyn ReadOnlyProtocol {
-        &*self.protocol
+        self.session.protocol()
     }
 
     /// The cycle of the last control segment heard, if any.
     pub fn now(&self) -> Option<Cycle> {
-        self.now
+        self.session.now()
     }
 
     /// The most recent directory segment heard, if any.
@@ -124,10 +122,7 @@ impl WireClient {
                 return Ok(());
             };
             match decode_segment(seg, self.params)? {
-                DecodedSegment::Control(ctrl) => {
-                    self.protocol.on_control(&ctrl);
-                    self.now = Some(ctrl.cycle());
-                }
+                DecodedSegment::Control(ctrl) => self.session.on_control(&ctrl),
                 DecodedSegment::Data(_, records) => {
                     self.records = records.into_iter().map(|r| (r.item(), r)).collect();
                 }
@@ -140,7 +135,7 @@ impl WireClient {
 
     /// Tells the client it missed `cycle` entirely (disconnection).
     pub fn missed_cycle(&mut self, cycle: Cycle) {
-        self.protocol.on_missed_cycle(cycle);
+        self.session.on_missed_cycle(cycle);
     }
 
     /// Starts a read-only transaction.
@@ -148,13 +143,7 @@ impl WireClient {
     /// # Panics
     /// Panics if no control segment has been heard yet.
     pub fn begin(&mut self) -> WireTxn {
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before beginning");
-        let id = self.next_id;
-        self.next_id = id.next();
-        self.protocol.begin_query(id, now);
-        self.active.push((id, Vec::new()));
-        WireTxn(id)
+        WireTxn(self.session.begin())
     }
 
     /// The protocol's directive for reading `item` now — the raw
@@ -164,17 +153,9 @@ impl WireClient {
     /// # Panics
     /// Panics if no control segment has been heard yet.
     pub fn directive(&self, txn: WireTxn, item: ItemId) -> ReadDirective {
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before reading");
-        self.protocol.read_directive(txn.0, item, now)
-    }
-
-    fn txn_index(&self, txn: WireTxn) -> usize {
-        self.active
-            .iter()
-            .position(|(id, _)| *id == txn.0)
-            // lint: allow(panic) — documented panic: stale handles are a caller bug
-            .expect("unknown or finished wire transaction")
+        self.session
+            .protocol()
+            .read_directive(txn.0 .0, item, self.session.heard())
     }
 
     /// Reads `item` from the last heard data segment, subject to the
@@ -188,45 +169,14 @@ impl WireClient {
     /// # Panics
     /// Panics if the handle is unknown or no cycle has been heard.
     pub fn read(&mut self, txn: WireTxn, item: ItemId) -> Result<ItemValue, AbortReason> {
-        let idx = self.txn_index(txn);
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before reading");
-        let constraint = match self.protocol.read_directive(txn.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
-            }
-            ReadDirective::Read(c) => c,
-        };
-        let candidate = match self.records.get(&item) {
-            Some(rec) => ReadCandidate::from_broadcast(rec),
-            None => {
-                self.drop_txn(idx);
-                return Err(AbortReason::VersionUnavailable);
-            }
-        };
-        if !candidate.current_at(constraint.state) {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
-        }
-        match self.protocol.apply_read(txn.0, item, &candidate, now) {
-            ReadOutcome::Accepted => {
-                let value = candidate.value;
-                if let Some((_, reads)) = self.active.get_mut(idx) {
-                    reads.push(ReadRecord::new(item, value));
-                }
-                Ok(value)
-            }
-            ReadOutcome::Rejected(reason) => {
-                self.drop_txn(idx);
-                Err(reason)
-            }
-        }
-    }
-
-    fn drop_txn(&mut self, idx: usize) {
-        let (id, _) = self.active.remove(idx);
-        self.protocol.finish_query(id);
+        let now = self.session.heard();
+        let state = self.session.constraint(txn.0, item, now)?.state;
+        let candidate = self
+            .records
+            .get(&item)
+            .map(ReadCandidate::from_broadcast)
+            .filter(|c| c.current_at(state));
+        self.session.apply(txn.0, item, candidate, now)
     }
 
     /// Commits the transaction, returning its (consistent) readset.
@@ -234,10 +184,7 @@ impl WireClient {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn commit(&mut self, txn: WireTxn) -> Vec<ReadRecord> {
-        let idx = self.txn_index(txn);
-        let (id, reads) = self.active.remove(idx);
-        self.protocol.finish_query(id);
-        reads
+        self.session.finish(txn.0)
     }
 
     /// Abandons the transaction.
@@ -245,8 +192,7 @@ impl WireClient {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn abort(&mut self, txn: WireTxn) {
-        let idx = self.txn_index(txn);
-        self.drop_txn(idx);
+        self.session.abort(txn.0);
     }
 }
 

@@ -203,6 +203,28 @@ pub fn run_sharded_with_workers(
     shards: u32,
     workers: usize,
 ) -> Result<MethodMetrics, BpushError> {
+    run_shards(job, shards, workers, Simulation::run, |acc, shard| {
+        acc.merge(&shard);
+    })
+}
+
+/// The shard loop behind [`run_sharded_with_workers`] and
+/// [`run_sharded_monitored_with_workers`]: partitions the clients into
+/// `shards` ranges, runs each shard's [`Simulation`] through `run` on
+/// `workers` threads, and folds the results into the first with `merge`
+/// in shard order.
+fn run_shards<T, R, M>(
+    job: &Job,
+    shards: u32,
+    workers: usize,
+    run: R,
+    merge: M,
+) -> Result<T, BpushError>
+where
+    T: Send,
+    R: Fn(Simulation) -> Result<T, BpushError> + Sync,
+    M: Fn(&mut T, T),
+{
     job.config.validate()?;
     let shards = shards.clamp(1, job.config.n_clients.max(1));
     let bounds = shard_bounds(job.config.n_clients, shards);
@@ -212,17 +234,16 @@ pub fn run_sharded_with_workers(
             .cloned()
             .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
         Simulation::with_client_range(job.config.clone(), job.method, job.layout, range)
-            .and_then(Simulation::run)
+            .and_then(&run)
     });
-    let mut merged: Option<MethodMetrics> = None;
-    for result in results {
-        let shard = result?;
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(acc) => acc.merge(&shard),
-        }
+    let mut results = results.into_iter();
+    let mut merged = results
+        .next()
+        .ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))??;
+    for shard in results {
+        merge(&mut merged, shard?);
     }
-    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
+    Ok(merged)
 }
 
 /// A monitored sharded run: the merged metrics, the canonical merged
@@ -270,44 +291,26 @@ pub fn run_sharded_monitored_with_workers(
     workers: usize,
     flight_frames: usize,
 ) -> Result<MonitoredRun, BpushError> {
-    job.config.validate()?;
-    let shards = shards.clamp(1, job.config.n_clients.max(1));
-    let bounds = shard_bounds(job.config.n_clients, shards);
-    let results = run_indexed(bounds.len(), workers, |idx| {
-        let range = bounds
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
+    let run = |sim: Simulation| {
         let monitors = monitors_for(&job.config, job.method);
         let slot = CaptureSlot::new();
-        let metrics =
-            Simulation::with_client_range(job.config.clone(), job.method, job.layout, range)?
-                .with_monitors(monitors.clone())
-                .with_flight_recorder(flight_frames, slot.clone())
-                .run()?;
-        Ok((metrics, monitors.verdict(), slot.take()))
-    });
-    let mut merged: Option<MonitoredRun> = None;
-    for result in results {
-        let (metrics, verdict, capture) = result?;
-        match &mut merged {
-            None => {
-                merged = Some(MonitoredRun {
-                    metrics,
-                    verdict,
-                    capture,
-                });
-            }
-            Some(acc) => {
-                acc.metrics.merge(&metrics);
-                acc.verdict.merge(&verdict);
-                if acc.capture.is_none() {
-                    acc.capture = capture;
-                }
-            }
+        let metrics = sim
+            .with_monitors(monitors.clone())
+            .with_flight_recorder(flight_frames, slot.clone())
+            .run()?;
+        Ok(MonitoredRun {
+            metrics,
+            verdict: monitors.verdict(),
+            capture: slot.take(),
+        })
+    };
+    run_shards(job, shards, workers, run, |acc, shard| {
+        acc.metrics.merge(&shard.metrics);
+        acc.verdict.merge(&shard.verdict);
+        if acc.capture.is_none() {
+            acc.capture = shard.capture;
         }
-    }
-    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
+    })
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! protocol and a cache, while *your* code owns the radio loop — you
 //! decide when to tune, the session decides what is consistent.
 //!
-//! Run with: `cargo run --example embedded_client`
+//! Run with: `cargo run --release -p bpush-sim --example embedded_client`
 
 use bpush_client::session::{BroadcastSession, ReadStep};
 use bpush_client::{CacheParams, ClientCache};
+use bpush_core::validator::SerializabilityValidator;
 use bpush_core::{CacheMode, Method};
 use bpush_server::{BroadcastServer, ServerOptions};
 use bpush_types::{ItemId, ServerConfig};
@@ -74,6 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             aborted += 1;
         } else {
             let readset = session.commit(txn)?;
+            // the consistency promise, checked against the server's history
+            SerializabilityValidator::new(server.history()).check(&readset)?;
             println!(
                 "committed a consistent snapshot of {} items at {}",
                 readset.len(),
@@ -83,5 +86,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\n{committed} committed, {aborted} aborted");
+    assert!(committed > 0, "the embedded client must commit something");
     Ok(())
 }
