@@ -103,6 +103,25 @@ impl Bcast {
         &self.control
     }
 
+    /// This bcast with its control segment replaced by `control` — e.g.
+    /// by the report a client decoded off the wire, so that every client
+    /// of a shared broadcast hears the decoded bytes. The slot layout is
+    /// kept as it is, so `control` must be the same report in another
+    /// form, not a different one.
+    ///
+    /// # Panics
+    /// Panics if `control` belongs to a different cycle.
+    #[must_use]
+    pub fn with_control(mut self, control: ControlInfo) -> Self {
+        assert_eq!(
+            control.cycle(),
+            self.cycle,
+            "a control segment must describe its own bcast's cycle"
+        );
+        self.control = control;
+        self
+    }
+
     /// Slots occupied by the control segment (including the on-air
     /// directory if the organization needs one).
     pub fn control_slots(&self) -> u64 {
@@ -301,6 +320,29 @@ mod tests {
         assert_eq!(h.offset(), 5);
         assert_eq!(h.slots_to_next_bcast(), 3);
         assert_eq!(h.cycle(), Cycle::ZERO);
+    }
+
+    #[test]
+    fn with_control_replaces_only_the_report() {
+        let b = simple_bcast();
+        let report = crate::InvalidationReport::new(
+            Cycle::ZERO,
+            1,
+            [ItemId::new(2)],
+            bpush_types::Granularity::Item,
+            1,
+        );
+        let ctrl = ControlInfo::new(Cycle::ZERO, report, None, None);
+        let b = b.with_control(ctrl.clone());
+        assert_eq!(b.control(), &ctrl);
+        assert_eq!(b.total_slots(), 8, "the data segment is untouched");
+        assert_eq!(b.slot_of_current(ItemId::new(2)), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "its own bcast's cycle")]
+    fn with_control_rejects_another_cycles_report() {
+        let _ = simple_bcast().with_control(ControlInfo::empty(Cycle::new(1)));
     }
 
     #[test]

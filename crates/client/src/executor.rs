@@ -159,27 +159,10 @@ impl QueryExecutor {
         self
     }
 
-    /// Feeds this client's control reports through the wire codec: the
-    /// protocol is wrapped in a [`bpush_core::wirefed::WireFed`]
-    /// decorator that encodes every report to framed broadcast segments
-    /// and decodes it back before the protocol hears it. The run must
-    /// stay bit-identical to the struct-fed run — any difference is a
-    /// wire/in-memory divergence in the codec. Call before
-    /// [`QueryExecutor::with_obs`] so instrumentation counts the
-    /// decoded reports.
-    #[must_use]
-    pub fn with_wire_feed(mut self, params: bpush_broadcast::wire::WireParams) -> Self {
-        let placeholder = bpush_core::Method::InvalidationOnly.build_protocol();
-        let inner = std::mem::replace(&mut self.protocol, placeholder);
-        self.protocol = Box::new(bpush_core::wirefed::WireFed::new(inner, params));
-        self
-    }
-
     /// Replaces the inner protocol — the fault-injection seam the
     /// monitor-layer tests use to run a broken mutant under an otherwise
-    /// identical workload. Call before [`QueryExecutor::with_wire_feed`]
-    /// / [`QueryExecutor::with_obs`] so the decorators wrap the
-    /// replacement.
+    /// identical workload. Call before [`QueryExecutor::with_obs`] so the
+    /// instrumentation decorator wraps the replacement.
     #[must_use]
     pub fn with_protocol(mut self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
         self.protocol = protocol;

@@ -12,8 +12,10 @@
 //! the client surfaces [`ReadDirective`]s and read outcomes. What is
 //! specific to the wire is kept here — the feed, the decoded records,
 //! the directory; the transactions and the read rule are the session's.
-//! (The simulator and the model checker feed their protocols through
-//! the codec with [`bpush_core::wirefed::WireFed`] instead.)
+//! (The simulator instead roundtrips each cycle's control segment once
+//! through [`bpush_core::wirefed::roundtrip_control`] for all its
+//! clients, and the model checker wraps each protocol in
+//! [`bpush_core::wirefed::WireFed`].)
 //!
 //! ```text
 //! transport loop:                 wire client:

@@ -16,6 +16,11 @@
 //! This is the same transparency contract as
 //! [`Instrumented`](crate::instrument::Instrumented); the two decorators
 //! compose in either order.
+//!
+//! The roundtrip itself is [`roundtrip_control`]. The decorator runs it
+//! once per protocol, which suits the model checker and the conformance
+//! battery; a simulator whose clients all hear the same broadcast runs
+//! it once per cycle and hands the one decoded report to every client.
 
 // The byte path itself (framing and field decode) lives in
 // `bpush_broadcast::feed`, which carries the `sans_io`/`hot_path` lint
@@ -81,29 +86,35 @@ impl WireFed {
     pub fn into_inner(self) -> Box<dyn ReadOnlyProtocol> {
         self.inner
     }
+}
 
-    /// Runs `ctrl` through encode → framed bytes → decode and returns
-    /// what a wire-fed client hears.
-    ///
-    /// # Panics
-    /// Panics if the roundtrip fails or (in debug builds) decodes to a
-    /// report that differs from the original: both mean the codec has a
-    /// divergence bug, which this decorator exists to surface.
-    fn roundtrip(&mut self, ctrl: &ControlInfo) -> ControlInfo {
-        let bytes = encode_control_segment(ctrl, self.params);
-        self.feed.push(&bytes);
-        let seg = self
-            .feed
-            .pop()
-            .expect("control segment kind must frame") // lint: allow(panic) — divergence detector by design
-            .expect("control segment must arrive whole"); // lint: allow(panic) — divergence detector by design
-        assert_eq!(seg.kind, SegmentKind::Control);
-        assert_eq!(seg.cycle, ctrl.cycle());
-        let decoded = decode_control_payload(seg.payload, self.params, seg.cycle)
-            .expect("a wire-encoded control report must decode"); // lint: allow(panic) — divergence detector by design
-        debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
-        decoded
-    }
+/// Runs `ctrl` through encode → framed bytes → `feed` → decode and
+/// returns what a wire-fed client hears — the one copy of the control
+/// roundtrip. [`WireFed`] calls it per protocol; a simulator whose
+/// clients share one broadcast calls it once per cycle and hands the
+/// decoded report to every client.
+///
+/// # Panics
+/// Panics if the roundtrip fails or (in debug builds) decodes to a
+/// report that differs from the original: both mean the codec has a
+/// divergence bug, which the wire path exists to surface.
+pub fn roundtrip_control(
+    feed: &mut WireFeed,
+    ctrl: &ControlInfo,
+    params: WireParams,
+) -> ControlInfo {
+    let bytes = encode_control_segment(ctrl, params);
+    feed.push(&bytes);
+    let seg = feed
+        .pop()
+        .expect("control segment kind must frame") // lint: allow(panic) — divergence detector by design
+        .expect("control segment must arrive whole"); // lint: allow(panic) — divergence detector by design
+    assert_eq!(seg.kind, SegmentKind::Control);
+    assert_eq!(seg.cycle, ctrl.cycle());
+    let decoded = decode_control_payload(seg.payload, params, seg.cycle)
+        .expect("a wire-encoded control report must decode"); // lint: allow(panic) — divergence detector by design
+    debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
+    decoded
 }
 
 impl ReadOnlyProtocol for WireFed {
@@ -116,7 +127,7 @@ impl ReadOnlyProtocol for WireFed {
     }
 
     fn on_control(&mut self, ctrl: &ControlInfo) {
-        let decoded = self.roundtrip(ctrl);
+        let decoded = roundtrip_control(&mut self.feed, ctrl, self.params);
         self.inner.on_control(&decoded);
     }
 
@@ -255,6 +266,16 @@ mod tests {
             let stats = p.protocol_stats().expect("instrumented");
             assert_eq!(stats.controls, 1);
             assert_eq!(stats.accepts, 1);
+        }
+    }
+
+    #[test]
+    fn one_feed_roundtrips_every_cycle_and_drains() {
+        let mut feed = WireFeed::new();
+        for cycle in 1..=3 {
+            let ctrl = sgt_control(cycle);
+            assert_eq!(roundtrip_control(&mut feed, &ctrl, params()), ctrl);
+            assert_eq!(feed.buffered(), 0, "each roundtrip consumes its segment");
         }
     }
 

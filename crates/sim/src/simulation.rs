@@ -2,9 +2,11 @@
 
 use std::sync::Arc;
 
-use bpush_broadcast::feed::encode_bcast_segments;
+use bpush_broadcast::feed::{encode_bcast_segments, WireFeed};
+use bpush_broadcast::wire::WireParams;
 use bpush_client::{CacheParams, ClientCache, QueryExecutor, QueryOutcome};
 use bpush_core::validator::SerializabilityBatch;
+use bpush_core::wirefed::roundtrip_control;
 use bpush_core::{AbortReason, CacheMode, Method, ReadOnlyProtocol};
 use bpush_obs::flight::fnv64;
 use bpush_obs::{Actor, Capture, FlightRecorder, MonitorConfig, Monitors, Obs};
@@ -182,6 +184,9 @@ pub struct Simulation {
     clients: Vec<QueryExecutor>,
     obs: Obs,
     flight: Option<FlightState>,
+    /// The one feed every cycle's control segment crosses when the run
+    /// is wire-fed ([`Simulation::with_wire_feed`]).
+    wire_feed: Option<WireFeed>,
 }
 
 /// Online monitors sized for `config`, checking the invariant family
@@ -341,6 +346,7 @@ impl Simulation {
             clients: built,
             obs: Obs::off(),
             flight: None,
+            wire_feed: None,
         })
     }
 
@@ -361,6 +367,7 @@ impl Simulation {
             server,
             clients,
             flight,
+            wire_feed,
             ..
         } = self;
         Simulation {
@@ -373,6 +380,7 @@ impl Simulation {
                 .collect(),
             obs,
             flight,
+            wire_feed,
         }
     }
 
@@ -406,39 +414,40 @@ impl Simulation {
     /// `factory` — the fault-injection seam: the monitors' detection
     /// claims are tested by seeding deliberately broken protocols (e.g.
     /// `bpush-mc`'s `BrokenInvalidation`) into an otherwise genuine
-    /// simulation. Call before [`Simulation::with_obs`] /
-    /// [`Simulation::with_monitors`] so instrumentation wraps the
-    /// replacement.
+    /// simulation. An already attached [`Obs`] (and its monitors) is
+    /// re-attached to the replacements, so the builder order does not
+    /// matter.
     #[must_use]
     pub fn with_protocol_factory(
         mut self,
         factory: impl Fn() -> Box<dyn ReadOnlyProtocol>,
     ) -> Self {
+        let obs = self.obs.clone();
         self.clients = self
             .clients
             .into_iter()
-            .map(|c| c.with_protocol(factory()))
+            .map(|c| {
+                let c = c.with_protocol(factory());
+                if obs.is_enabled() {
+                    c.with_obs(obs.clone())
+                } else {
+                    c
+                }
+            })
             .collect();
         self
     }
 
-    /// Feeds every client's control reports through the wire codec:
-    /// each client's protocol is wrapped in a
-    /// [`bpush_core::wirefed::WireFed`] decorator that encodes the
-    /// report to framed broadcast segments and decodes it back before
-    /// the protocol hears it. A wire-fed run must produce bit-identical
+    /// Feeds the control segments through the wire codec: each cycle's
+    /// report is encoded to a framed segment, pushed through one shared
+    /// feed and decoded back *once*, and every client — protocol and
+    /// cache — hears that decoded report, as clients tuned to one
+    /// broadcast would. A wire-fed run must produce bit-identical
     /// [`MethodMetrics::deterministic_snapshot`]s to the struct-fed
-    /// run — any difference is a wire/in-memory divergence. Call before
-    /// [`Simulation::with_obs`] so instrumentation counts the decoded
-    /// reports.
+    /// run — any difference is a wire/in-memory divergence.
     #[must_use]
     pub fn with_wire_feed(mut self) -> Self {
-        let params = wire_params_for(&self.config);
-        self.clients = self
-            .clients
-            .into_iter()
-            .map(|c| c.with_wire_feed(params))
-            .collect();
+        self.wire_feed = Some(WireFeed::new());
         self
     }
 
@@ -495,6 +504,11 @@ impl Simulation {
         let mut cycles = 0u64;
         let mut peak_graph = (0usize, 0usize);
         let mut validation_ns = Summary::new();
+        // One derivation serves the shared decode, the flight recorder's
+        // frames and the capture header.
+        let wire_inputs = wire_derive_inputs(&self.config);
+        let [d_items, window, n_txns, span] = wire_inputs;
+        let wire_params = WireParams::derive(d_items, window, n_txns, span);
 
         while self.clients.iter().any(|c| !c.is_done()) {
             if cycles >= self.config.max_cycles {
@@ -502,10 +516,14 @@ impl Simulation {
                     max_cycles: self.config.max_cycles,
                 });
             }
-            let bcast = self.server.run_cycle();
+            let mut bcast = self.server.run_cycle();
             if let Some(flight) = self.flight.as_mut() {
-                let bytes = encode_bcast_segments(&bcast, wire_params_for(&self.config));
+                let bytes = encode_bcast_segments(&bcast, wire_params);
                 flight.recorder.record_frame(bcast.cycle().number(), &bytes);
+            }
+            if let Some(feed) = self.wire_feed.as_mut() {
+                let decoded = roundtrip_control(feed, bcast.control(), wire_params);
+                bcast = bcast.with_control(decoded);
             }
             total_slots += bcast.total_slots();
             cycles += 1;
@@ -545,12 +563,7 @@ impl Simulation {
                             // The WireParams::derive quadruple, so
                             // `cargo xtask explain` can decode the
                             // frames from the capture alone.
-                            [
-                                self.config.server.broadcast_size,
-                                self.config.server.report_window,
-                                self.config.server.txns_per_cycle,
-                                u32::try_from(self.config.max_cycles).unwrap_or(u32::MAX),
-                            ],
+                            wire_inputs,
                             trigger,
                             fingerprint,
                         );
@@ -669,18 +682,18 @@ impl Simulation {
     }
 }
 
-/// Wire widths sized for a simulation's configured universe: keys span
-/// the broadcast set and sequence numbers span one cycle's update
-/// transactions (both exact bounds), while the two age fields are
-/// escape-coded, so `window` and `span` only size the common case and
-/// out-of-range ages still round-trip exactly.
-fn wire_params_for(config: &SimConfig) -> bpush_broadcast::wire::WireParams {
-    bpush_broadcast::wire::WireParams::derive(
+/// The [`WireParams::derive`] inputs sized for a simulation's configured
+/// universe: keys span the broadcast set and sequence numbers span one
+/// cycle's update transactions (both exact bounds), while the two age
+/// fields are escape-coded, so `window` and `span` only size the common
+/// case and out-of-range ages still round-trip exactly.
+fn wire_derive_inputs(config: &SimConfig) -> [u32; 4] {
+    [
         config.server.broadcast_size,
         config.server.report_window,
         config.server.txns_per_cycle,
         u32::try_from(config.max_cycles).unwrap_or(u32::MAX),
-    )
+    ]
 }
 
 #[cfg(test)]
@@ -790,27 +803,109 @@ mod tests {
     }
 
     /// The sans-IO acceptance check at the simulation level: every
-    /// method run wire-fed (reports encoded to framed segments and
-    /// decoded back on the feed path) produces a bit-identical
-    /// deterministic metrics snapshot to the struct-fed run. Any
-    /// encode/decode divergence in the codec surfaces here.
+    /// method run wire-fed (each cycle's report encoded to a framed
+    /// segment and decoded back once for all clients) produces a
+    /// bit-identical deterministic metrics snapshot to the struct-fed
+    /// run — under the default organisation and under the two it never
+    /// puts on air: the clustered multiversion layout (an on-air
+    /// directory, positions shifting per cycle) and broadcast disks
+    /// (items repeated within a cycle). Any encode/decode divergence in
+    /// the codec surfaces here.
     #[test]
     fn wire_fed_runs_are_bit_identical() {
+        use bpush_broadcast::organization::DiskSpec;
+        use bpush_server::BroadcastMode;
+
+        let assert_same = |what: &str, build: &dyn Fn() -> Simulation| {
+            let struct_fed = build().run().unwrap();
+            let wire_fed = build().with_wire_feed().run().unwrap();
+            assert_eq!(
+                struct_fed.deterministic_snapshot(),
+                wire_fed.deterministic_snapshot(),
+                "{what}: the wire perturbed the simulation"
+            );
+        };
         for method in Method::ALL {
-            let struct_fed = Simulation::new(quick_config(), method)
+            assert_same(&format!("{method}"), &|| {
+                Simulation::new(quick_config(), method).unwrap()
+            });
+            assert_same(&format!("{method} clustered"), &|| {
+                Simulation::with_layout(quick_config(), method, MultiversionLayout::Clustered)
+                    .unwrap()
+            });
+        }
+        let disks = vec![
+            DiskSpec {
+                items: 20,
+                rel_freq: 3,
+            },
+            DiskSpec {
+                items: 180,
+                rel_freq: 1,
+            },
+        ];
+        for method in [
+            Method::InvalidationOnly,
+            Method::InvalidationCache,
+            Method::Sgt,
+            Method::SgtCache,
+        ] {
+            assert_same(&format!("{method} disks"), &|| {
+                Simulation::new(quick_config(), method)
+                    .unwrap()
+                    .with_server_mode(BroadcastMode::Disks(disks.clone()))
+                    .unwrap()
+            });
+        }
+    }
+
+    /// The wire setting, a protocol factory and the monitors are
+    /// independent builders: applying them in either order gives the
+    /// same run and the same monitor verdict, for a genuine protocol and
+    /// for a seeded mutant the monitors must flag.
+    #[test]
+    fn wire_feed_factory_and_monitors_compose_in_any_order() {
+        let method = Method::InvalidationOnly;
+        for genuine in [true, false] {
+            let what = if genuine { "genuine" } else { "mutant" };
+            let factory = || -> Box<dyn ReadOnlyProtocol> {
+                if genuine {
+                    method.build_protocol()
+                } else {
+                    Box::new(bpush_mc::BrokenInvalidation::new())
+                }
+            };
+            let forward = monitors_for(&quick_config(), method);
+            let a = Simulation::new(quick_config(), method)
                 .unwrap()
+                .with_wire_feed()
+                .with_protocol_factory(factory)
+                .with_monitors(forward.clone())
                 .run()
                 .unwrap();
-            let wire_fed = Simulation::new(quick_config(), method)
+            let backward = monitors_for(&quick_config(), method);
+            let b = Simulation::new(quick_config(), method)
                 .unwrap()
+                .with_monitors(backward.clone())
+                .with_protocol_factory(factory)
                 .with_wire_feed()
                 .run()
                 .unwrap();
             assert_eq!(
-                struct_fed.deterministic_snapshot(),
-                wire_fed.deterministic_snapshot(),
-                "{method}: the wire perturbed the simulation"
+                a.deterministic_snapshot(),
+                b.deterministic_snapshot(),
+                "{what}"
             );
+            assert!(
+                forward.verdict().controls > 0,
+                "{what}: monitors saw no controls"
+            );
+            assert_eq!(
+                forward.verdict().render(),
+                backward.verdict().render(),
+                "{what}: builder order changed the verdict"
+            );
+            assert_eq!(forward.verdict().pass(), genuine, "{what}");
         }
     }
 

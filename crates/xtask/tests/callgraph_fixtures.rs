@@ -393,7 +393,7 @@ fn suppression_budget_stays_within_ceiling() {
     let ceiling = |rule: Rule| -> usize {
         match rule {
             // currently 38: PR-9 added the wire-fed divergence detectors
-            // (`WireFed::roundtrip`, `WireClient` framing — a decode
+            // (`wirefed::roundtrip_control`, `WireClient` framing — a decode
             // failure there IS the bug the decorator exists to surface)
             // and two bench-fixture expects on self-encoded bytes.
             Rule::Panic => 40,
