@@ -1,6 +1,8 @@
 //! §5.2.2 workload bench: simulations under disconnection injection (the
 //! study itself comes from `reproduce -- disconnect`).
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpush_bench::bench_config;

@@ -3,6 +3,8 @@
 //! actual figure with `cargo run --release -p bpush-sim --bin reproduce
 //! -- fig5_left fig5_right`.
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpush_bench::bench_config;

@@ -1,6 +1,8 @@
 //! Figure 6 workload bench: simulation cost as the server update volume
 //! grows (the figure itself comes from `reproduce -- fig6`).
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpush_bench::bench_config;

@@ -2,6 +2,8 @@
 //! two multiversion on-air layouts (the figure itself comes from
 //! `reproduce -- fig8_left fig8_right`).
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpush_bench::bench_config;

@@ -2,6 +2,8 @@
 //! on — serialization-graph operations, cache operations, workload
 //! sampling, bcast assembly, and the per-cycle server loop.
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

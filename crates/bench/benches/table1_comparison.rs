@@ -1,6 +1,8 @@
 //! Table 1 workload bench: the all-methods comparison run (the table
 //! itself comes from `reproduce -- table1`).
 
+#![allow(clippy::expect_used, reason = "a broken fixture must stop the bench")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bpush_bench::bench_config;

@@ -11,9 +11,6 @@
 //!
 //! This library crate only hosts shared helpers.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use bpush_types::{CacheConfig, ClientConfig, ServerConfig, SimConfig};
 
 /// A small but non-trivial configuration used by the simulation benches:

@@ -43,7 +43,7 @@ pub struct Bcast {
 impl Bcast {
     /// Assembles a bcast from its parts. Used by the organizations; not
     /// intended for direct construction by applications.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per bcast field")]
     pub(crate) fn from_parts(
         cycle: Cycle,
         control: ControlInfo,

@@ -216,6 +216,7 @@ impl InvalidationReport {
     /// # Panics
     /// Panics if `window == 0` or `items_per_bucket == 0`; use
     /// [`InvalidationReport::try_new`] to handle those as errors.
+    #[expect(clippy::panic, reason = "documented panic (see `# Panics`)")]
     pub fn new(
         cycle: Cycle,
         window: u32,
@@ -224,7 +225,6 @@ impl InvalidationReport {
         items_per_bucket: u32,
     ) -> Self {
         Self::try_new(cycle, window, updated, granularity, items_per_bucket)
-            // lint: allow(panic) — documented panic; try_new is the fallible form
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -257,6 +257,7 @@ impl InvalidationReport {
     /// # Panics
     /// Panics if `window == 0` or `items_per_bucket == 0`; use
     /// [`InvalidationReport::try_with_dated`] to handle those as errors.
+    #[expect(clippy::panic, reason = "documented panic (see `# Panics`)")]
     pub fn with_dated(
         cycle: Cycle,
         window: u32,
@@ -265,7 +266,6 @@ impl InvalidationReport {
         items_per_bucket: u32,
     ) -> Self {
         Self::try_with_dated(cycle, window, updated, granularity, items_per_bucket)
-            // lint: allow(panic) — documented panic; try_with_dated is the fallible form
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -687,13 +687,13 @@ impl ControlInfo {
     /// the augmented report and diff with the cycle they *describe*, i.e.
     /// the previous one). Use [`ControlInfo::try_new`] to handle the
     /// mismatch as an error instead.
+    #[expect(clippy::panic, reason = "documented panic (see `# Panics`)")]
     pub fn new(
         cycle: Cycle,
         invalidation: InvalidationReport,
         augmented: Option<AugmentedReport>,
         graph_diff: Option<GraphDiff>,
     ) -> Self {
-        // lint: allow(panic) — documented panic; try_new is the fallible form
         Self::try_new(cycle, invalidation, augmented, graph_diff).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -28,8 +28,9 @@ use crate::bucket::ItemRecord;
 use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::wire::{
-    decode_augmented_from, decode_diff_from, decode_invalidation_from, encode_augmented_into,
-    encode_diff_into, encode_invalidation_into, BitReader, BitWriter, WireParams,
+    capped_capacity, decode_augmented_from, decode_diff_from, decode_invalidation_from,
+    encode_augmented_into, encode_diff_into, encode_invalidation_into, BitReader, BitWriter,
+    WireParams,
 };
 
 /// Bytes in a segment header: kind, cycle, payload length.
@@ -87,10 +88,12 @@ pub struct SegmentView<'a> {
 /// A decoded segment, ready for the protocol layer.
 #[derive(Debug, Clone, PartialEq)]
 // bpush-lint: protocol_enum — decoded form of the segment vocabulary
-// Boxing the inline ControlInfo would trade 240 stack bytes for a heap
-// allocation on every decoded control segment — the per-cycle decode
-// path stays allocation-free instead.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "boxing the inline ControlInfo would trade 240 stack bytes for a heap \
+              allocation on every decoded control segment; the per-cycle decode path \
+              stays allocation-free instead"
+)]
 pub enum DecodedSegment {
     /// A decoded control segment.
     Control(ControlInfo),
@@ -105,8 +108,13 @@ fn frame(kind: SegmentKind, cycle: Cycle, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload.len());
     out.push(kind.to_byte());
     out.extend_from_slice(&cycle.number().to_be_bytes());
-    // lint: allow(casts) — the length field is u32 by wire-format definition; single-cycle payloads sit far below 4 GiB
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the length field is u32 by wire-format definition; \
+                  single-cycle payloads sit far below 4 GiB"
+    )]
+    let len = payload.len() as u32;
+    out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -214,8 +222,7 @@ pub fn decode_data_payload(
     let count = r.take(32)?;
     // 3 flag bits + the item key is the minimum footprint of one record
     let min_bits = params.key_bits + 3;
-    let cap = count.min(r.remaining_bits() / u64::from(min_bits.max(1))) as usize; // bpush-lint: allow(panic-reach) — the divisor is clamped to ≥ 1
-    let mut records = Vec::with_capacity(cap);
+    let mut records = Vec::with_capacity(capped_capacity(count, min_bits, &r));
     for _ in 0..count {
         let item = ItemId::new(take_u32_width(&mut r, params.key_bits)?);
         let value = match take_opt_txn(&mut r, cycle, params)? {
@@ -413,7 +420,11 @@ impl WireFeed {
             return Ok(None);
         }
         let start = self.read + SEGMENT_HEADER_BYTES;
-        let end = start + len as usize;
+        // A length past the address space can never be buffered whole.
+        let Ok(len) = usize::try_from(len) else {
+            return Ok(None);
+        };
+        let end = start + len;
         if end > self.buf.len() {
             return Ok(None);
         }

@@ -186,8 +186,9 @@ impl IndexedFlat {
         let mut map = BTreeMap::new();
         let mut occ = BTreeMap::new();
         let mut slot = control_slots;
-        for (chunk_idx, chunk) in records.chunks(chunk_items.max(1) as usize).enumerate() {
-            let _ = chunk_idx;
+        // ceil(len / m) never exceeds len, so it fits in usize
+        let chunk_len = usize::try_from(chunk_items.max(1)).unwrap_or(records.len());
+        for chunk in records.chunks(chunk_len) {
             index_slots.push(slot);
             slot += idx_slots;
             for (i, rec) in chunk.iter().enumerate() {
@@ -536,9 +537,11 @@ impl BroadcastDisks {
         for minor in 0..l {
             for layout in &layouts {
                 let chunk = minor % layout.num_chunks;
-                let len = layout.records.len() as u64;
-                let lo = (chunk * layout.chunk_size).min(len) as usize;
-                let hi = ((chunk + 1) * layout.chunk_size).min(len) as usize;
+                let n = layout.records.len();
+                let len = n as u64;
+                // both bounds are clamped to len, so they fit in usize
+                let lo = usize::try_from((chunk * layout.chunk_size).min(len)).unwrap_or(n);
+                let hi = usize::try_from(((chunk + 1) * layout.chunk_size).min(len)).unwrap_or(n);
                 for rec in &layout.records[lo..hi] {
                     occ.entry(rec.item()).or_default().push(slot);
                     slot += 1;

@@ -100,10 +100,11 @@ fn take_cycle_rel(r: &mut BitReader<'_>, now: Cycle, width: u32) -> Result<Cycle
 /// `count` entries of at least `entry_bits` each must still hold that
 /// many bits past the reader's position, so capacity beyond that bound
 /// only serves adversarial counts (a 24-bit count field can claim 16M
-/// entries on a 3-byte stream).
-fn capped_capacity(count: u64, entry_bits: u32, r: &BitReader<'_>) -> usize {
+/// entries on a 3-byte stream). A bound past the address space falls
+/// back to no preallocation.
+pub(crate) fn capped_capacity(count: u64, entry_bits: u32, r: &BitReader<'_>) -> usize {
     // bpush-lint: allow(panic-reach) — the divisor is clamped to ≥ 1
-    count.min(r.remaining_bits() / u64::from(entry_bits.max(1))) as usize
+    usize::try_from(count.min(r.remaining_bits() / u64::from(entry_bits.max(1)))).unwrap_or(0)
 }
 
 /// An append-only bit stream.
@@ -135,7 +136,10 @@ impl BitWriter {
             if self.partial == 0 {
                 self.bytes.push(0);
             }
-            // lint: allow(panic) — a byte was pushed on the line above when partial == 0
+            #[expect(
+                clippy::expect_used,
+                reason = "a byte was pushed above if partial == 0"
+            )]
             let last = self.bytes.last_mut().expect("just ensured");
             *last |= u8::from(bit == 1) << (7 - self.partial);
             self.partial = (self.partial + 1) % 8;

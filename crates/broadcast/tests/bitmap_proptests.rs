@@ -4,10 +4,7 @@
 //! for, over random reports, readsets, granularities, and id spans —
 //! including spans wide enough to degrade the bitmap back to galloping.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 use proptest::prelude::*;
 
 use bpush_broadcast::{AugmentedReport, InvalidationReport};

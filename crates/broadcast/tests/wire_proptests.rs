@@ -3,10 +3,11 @@
 //! accounting, and — the sans-IO robustness contract — truncated or
 //! corrupted input is rejected with an error, never a panic.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "tests are exempt from library lints"
+)]
 use proptest::prelude::*;
 
 use bpush_broadcast::wire::{

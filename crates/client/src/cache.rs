@@ -193,7 +193,7 @@ impl ClientCache {
             for item in keys {
                 let bucket = BucketId::new(item.index() / self.params.items_per_bucket);
                 let update = report.bucket_update_cycle(bucket);
-                // lint: allow(panic) — key came from this same map moments ago
+                #[expect(clippy::expect_used, reason = "the key was just listed from this map")]
                 let entry = self.current.peek_mut(&item).expect("key just listed");
                 if !entry.coherent {
                     continue;
@@ -330,7 +330,7 @@ impl ClientCache {
                 .map(|(&k, _)| k)
                 .collect();
             for key in versions {
-                // lint: allow(panic) — key came from this same map moments ago
+                #[expect(clippy::expect_used, reason = "the key was just listed from this map")]
                 let e = *self.old.peek(&key).expect("key just listed");
                 let cand = ReadCandidate {
                     value: e.value,

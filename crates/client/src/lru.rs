@@ -73,7 +73,7 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         let old = *old_tick;
         self.by_tick.remove(&old);
         self.by_tick.insert(tick, k.clone());
-        // lint: allow(panic) — caller just found the key in entries; maps move in lockstep
+        #[expect(clippy::expect_used, reason = "the caller just found the key")]
         let entry = self.entries.get_mut(key).expect("just found");
         entry.0 = tick;
         Some(&entry.1)
@@ -130,16 +130,16 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         self.by_tick.insert(tick, key.clone());
         self.entries.insert(key, (tick, value));
         if self.entries.len() > self.capacity {
-            let (&oldest, _) = self
-                .by_tick
-                .iter()
-                .next()
-                // lint: allow(panic) — guarded by the overflow check above
-                .expect("overflow implies nonempty");
-            // lint: allow(panic) — oldest was just read out of by_tick
-            let victim = self.by_tick.remove(&oldest).expect("just seen");
-            // lint: allow(panic) — entries and by_tick are kept in lockstep by every mutation
-            let (_, v) = self.entries.remove(&victim).expect("indexed");
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the overflow check above; entries and by_tick \
+                          are kept in lockstep by every mutation"
+            )]
+            let (victim, v) = {
+                let (_, victim) = self.by_tick.pop_first().expect("overflow implies nonempty");
+                let (_, v) = self.entries.remove(&victim).expect("indexed");
+                (victim, v)
+            };
             return Some((victim, v));
         }
         None

@@ -238,11 +238,11 @@ impl BroadcastSession {
         TxnHandle(id)
     }
 
+    #[expect(clippy::expect_used, reason = "a stale handle is a caller bug")]
     fn txn_index(&self, handle: TxnHandle) -> usize {
         self.active
             .iter()
             .position(|t| t.id == handle.0)
-            // lint: allow(panic) — documented panic: stale handles are a caller bug
             .expect("unknown or finished transaction handle")
     }
 
@@ -368,8 +368,8 @@ impl BroadcastSession {
     ///
     /// # Panics
     /// Panics if none has been heard yet.
+    #[expect(clippy::expect_used, reason = "documented panic (see `# Panics`)")]
     pub(crate) fn heard(&self) -> Cycle {
-        // lint: allow(panic) — documented panic: callers must hear a bcast first
         self.now.expect("hear a bcast before starting transactions")
     }
 

@@ -4,10 +4,12 @@
 //! value that was current at state `s`** according to an independently
 //! maintained ground truth.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "tests are exempt from library lints"
+)]
 use proptest::prelude::*;
 use std::collections::HashMap;
 

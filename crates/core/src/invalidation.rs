@@ -234,7 +234,7 @@ impl ReadOnlyProtocol for InvalidationOnly {
         candidate: &ReadCandidate,
         now: Cycle,
     ) -> ReadOutcome {
-        // lint: allow(panic) — protocol contract: reads only arrive for begun queries
+        #[expect(clippy::expect_used, reason = "reads only arrive for begun queries")]
         let qs = self.queries.get_mut(&q).expect("unknown query");
         if let Some(reason) = qs.doomed {
             return ReadOutcome::Rejected(reason);

@@ -47,8 +47,6 @@
 //!                  ReadDirective::Read(_)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod batch;

@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::HashSet<_> = Method::ALL.iter().map(|m| m.name()).collect();
+        let names: std::collections::BTreeSet<_> = Method::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(names.len(), Method::ALL.len());
     }
 

@@ -119,7 +119,7 @@ impl ReadOnlyProtocol for MultiversionBroadcast {
         candidate: &ReadCandidate,
         now: Cycle,
     ) -> ReadOutcome {
-        // lint: allow(panic) — protocol contract: reads only arrive for begun queries
+        #[expect(clippy::expect_used, reason = "reads only arrive for begun queries")]
         let qs = self.queries.get_mut(&q).expect("unknown query");
         let c0 = *qs.c0.get_or_insert(now);
         if !candidate.current_at(c0) {

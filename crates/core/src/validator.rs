@@ -102,7 +102,7 @@ impl<'a> SerializabilityValidator<'a> {
         for r in reads {
             after = after.max(r.value.writer());
             if let Some(over) = self.history.next_overwrite(r.item, r.value) {
-                // lint: allow(panic) — history stores committed writes, which always carry a writer
+                #[expect(clippy::expect_used, reason = "committed writes always carry a writer")]
                 let over = over.writer().expect("overwrites are committed writes");
                 before = Some(match before {
                     Some(b) => b.min(over),
@@ -216,7 +216,7 @@ impl<'a> SerializabilityBatch<'a> {
             let Some(over) = self.history.next_overwrite(r.item, r.value) else {
                 continue;
             };
-            // lint: allow(panic) — history stores committed writes, which always carry a writer
+            #[expect(clippy::expect_used, reason = "committed writes always carry a writer")]
             let o = over.writer().expect("overwrites are committed writes");
             let hit = if is_writer(o) {
                 Some(o)

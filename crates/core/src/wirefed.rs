@@ -98,6 +98,7 @@ impl WireFed {
 /// Panics if the roundtrip fails or (in debug builds) decodes to a
 /// report that differs from the original: both mean the codec has a
 /// divergence bug, which the wire path exists to surface.
+#[expect(clippy::expect_used, reason = "divergence detector by design")]
 pub fn roundtrip_control(
     feed: &mut WireFeed,
     ctrl: &ControlInfo,
@@ -107,12 +108,12 @@ pub fn roundtrip_control(
     feed.push(&bytes);
     let seg = feed
         .pop()
-        .expect("control segment kind must frame") // lint: allow(panic) — divergence detector by design
-        .expect("control segment must arrive whole"); // lint: allow(panic) — divergence detector by design
+        .expect("control segment kind must frame")
+        .expect("control segment must arrive whole");
     assert_eq!(seg.kind, SegmentKind::Control);
     assert_eq!(seg.cycle, ctrl.cycle());
     let decoded = decode_control_payload(seg.payload, params, seg.cycle)
-        .expect("a wire-encoded control report must decode"); // lint: allow(panic) — divergence detector by design
+        .expect("a wire-encoded control report must decode");
     debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
     decoded
 }

@@ -14,10 +14,11 @@
 //! * on arbitrary digraphs over the same transactions, with back edges,
 //!   cycles and query nodes, where the search runs unbounded.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "tests are exempt from library lints"
+)]
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;

@@ -11,10 +11,11 @@
 //!   [`AbortReason`] counters as the same queries driven one-per-
 //!   instance, where the batch screen degenerates to a single query.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "tests are exempt from library lints"
+)]
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;

@@ -8,10 +8,7 @@
 //! `MultiversionCaching`, `Instrumented`, `WireFed` — next to the
 //! battery that exercises it.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{ControlInfo, InvalidationReport};
 use bpush_core::conformance;

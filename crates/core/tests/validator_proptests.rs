@@ -1,10 +1,14 @@
 //! Property tests for the serializability validator, checked against a
 //! brute-force oracle over random serial histories.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::disallowed_types,
+    reason = "tests are exempt from library lints"
+)]
 use proptest::prelude::*;
 use std::collections::HashMap;
 

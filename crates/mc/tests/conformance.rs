@@ -11,10 +11,7 @@
 //! (This file is also the `L4/conformance` evidence `cargo xtask lint`
 //! scans for: it names `BrokenInvalidation` next to the battery run.)
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 
 use bpush_core::conformance;
 use bpush_mc::BrokenInvalidation;

@@ -4,10 +4,11 @@
 //! scope, and proves every genuine method passes that scope — all on
 //! every `cargo test`.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests are exempt from library lints"
+)]
 
 use std::path::Path;
 

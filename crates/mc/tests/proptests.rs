@@ -4,10 +4,7 @@
 //! *independently reconstructed* server — and committed executions of
 //! genuine methods must never violate.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 
 use bpush_core::validator::SerializabilityValidator;
 use bpush_mc::{run_schedule, run_schedule_monitored, ProtocolSpec, ReadSpec, Schedule};

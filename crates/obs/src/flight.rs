@@ -242,8 +242,8 @@ mod tests {
     fn recorder_wraps_and_counts_drops() {
         let mut fr = FlightRecorder::new(3);
         assert!(fr.is_empty());
-        for c in 0..5u64 {
-            fr.record_frame(c, &[c as u8, 0xAA]);
+        for c in 0..5u8 {
+            fr.record_frame(u64::from(c), &[c, 0xAA]);
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.dropped(), 2);
@@ -279,8 +279,8 @@ mod tests {
     #[test]
     fn capture_records_ring_drops() {
         let mut fr = FlightRecorder::new(2);
-        for c in 0..5u64 {
-            fr.record_frame(c, &[c as u8]);
+        for c in 0..5u8 {
+            fr.record_frame(u64::from(c), &[c]);
         }
         let cap = fr.capture("sgt", 1, 1, [8, 1, 1, 1], trigger(), 0);
         assert_eq!(cap.dropped, 3);

@@ -54,10 +54,9 @@
 //! The crate is zero-dependency beyond the workspace's own vocabulary
 //! types and the vendored `parking_lot` lock standard: no wall clocks,
 //! no ambient RNG, no hash-ordered collections — the same determinism
-//! contract (`xtask lint` L2) as the protocol crates it observes.
+//! contract (clippy's `disallowed_methods`/`disallowed_types`, see
+//! `clippy.toml`) as the protocol crates it observes.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod event;

@@ -486,7 +486,8 @@ impl MonitorEngine {
     pub fn on_event(&mut self, cycle: Cycle, actor: Actor, kind: EventKind) {
         self.events = self.events.saturating_add(1);
         let n = cycle.number();
-        let tid = actor.tid() as usize;
+        // an id past the address space has no stream: `get_mut` misses
+        let tid = usize::try_from(actor.tid()).unwrap_or(usize::MAX);
         let stream_client = match actor {
             Actor::Client(i) => i,
             _ => NO_ITEM,
@@ -751,10 +752,12 @@ impl MonitorEngine {
     /// under the graph policy, the §3.3 dependency edge is replayed. An
     /// accepted read while the method's own rule requires the query to
     /// be doomed is the online divergence signal.
-    // The argument list mirrors the client's version-read metadata tuple
-    // one-to-one; bundling it into a struct would only move the field
-    // names away from the single call site in the sim feed shim.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the argument list mirrors the client's version-read metadata tuple \
+                  one-to-one; a struct would only move the field names away from the \
+                  single call site in the sim feed shim"
+    )]
     pub fn mon_read_meta(
         &mut self,
         client: u32,
@@ -1136,7 +1139,10 @@ impl Monitors {
     }
 
     /// Typed feed: an accepted read with its validity metadata.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "forwards `Monitors::mon_read_meta`'s argument list unchanged"
+    )]
     pub fn read_meta(
         &self,
         client: u32,

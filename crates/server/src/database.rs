@@ -55,10 +55,10 @@ impl MultiversionStore {
     ///
     /// # Panics
     /// Panics if `item` is out of range.
+    #[expect(clippy::expect_used, reason = "chains are seeded with initial values")]
     pub fn current(&self, item: ItemId) -> ItemValue {
         *self.versions[item.as_usize()]
             .last()
-            // lint: allow(panic) — every chain is seeded with the initial value at construction
             .expect("every item has at least its initial value")
     }
 
@@ -85,13 +85,12 @@ impl MultiversionStore {
                 .map_or(true, |last| { last.writer().map_or(true, |w| w < writer) }),
             "writes must arrive in serial order"
         );
-        if let Some(last) = chain.last() {
+        if let Some(last) = chain.last_mut() {
             if last.version() == value.version() {
                 // Two writes in the same cycle: only the later one is ever
                 // broadcast (the snapshot reflects cycle boundaries), so
                 // replace in place.
-                // lint: allow(panic) — every chain is seeded with the initial value at construction
-                *chain.last_mut().expect("nonempty") = value;
+                *last = value;
                 return;
             }
         }
@@ -157,11 +156,16 @@ impl MultiversionStore {
     }
 
     /// Iterates over `(item, current value)` in item order.
+    #[expect(
+        clippy::expect_used,
+        clippy::cast_possible_truncation,
+        reason = "every chain is seeded with the initial value at construction; \
+                  the item count is bounded by broadcast_size: u32"
+    )]
     pub fn iter_current(&self) -> impl Iterator<Item = (ItemId, ItemValue)> + '_ {
         self.versions
             .iter()
             .enumerate()
-            // lint: allow(panic, casts) — every chain is seeded with the initial value at construction; the item count is bounded by broadcast_size: u32
             .map(|(i, chain)| (ItemId::new(i as u32), *chain.last().expect("nonempty")))
     }
 

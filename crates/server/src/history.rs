@@ -73,9 +73,9 @@ impl WriteHistory {
             Some(w) => {
                 // the log is in serial order (`record` asserts it), so
                 // its writers are sorted
+                #[expect(clippy::expect_used, reason = "a value read is a committed write")]
                 let idx = log
                     .binary_search_by_key(&Some(w), |v| v.writer())
-                    // lint: allow(panic) — a value read must be a committed write of this item
                     .expect("read value must have been committed");
                 log.get(idx + 1).copied()
             }

@@ -38,8 +38,6 @@
 //! # Ok::<(), bpush_types::BpushError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod conflicts;

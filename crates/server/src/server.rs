@@ -480,14 +480,14 @@ mod tests {
         let mut snapshots = Vec::new();
         for _ in 0..6 {
             let b = s.run_cycle();
-            let snap: std::collections::HashMap<ItemId, Cycle> = b
+            let snap: std::collections::BTreeMap<ItemId, Cycle> = b
                 .records()
                 .map(|r| (r.item(), r.value().version()))
                 .collect();
             snapshots.push(snap);
             if b.cycle().number() >= 2 {
                 let c0 = b.cycle().prev(); // one cycle back: within span 3
-                let want = &snapshots[c0.number() as usize];
+                let want = &snapshots[usize::try_from(c0.number()).unwrap()];
                 for i in 0..100u32 {
                     let item = ItemId::new(i);
                     let got = b

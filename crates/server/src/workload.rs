@@ -213,7 +213,7 @@ impl WorkloadSource for WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn config() -> ServerConfig {
         ServerConfig::default()
@@ -230,7 +230,7 @@ mod tests {
                 .flat_map(|t| t.writes().iter().copied())
                 .collect();
             assert_eq!(all_writes.len(), 50);
-            let distinct: HashSet<_> = all_writes.iter().collect();
+            let distinct: BTreeSet<_> = all_writes.iter().collect();
             assert_eq!(distinct.len(), 50, "updates are distinct within a cycle");
         }
     }
@@ -260,7 +260,7 @@ mod tests {
         let mut gen = WorkloadGenerator::new(&config(), 4).unwrap();
         let txns = gen.generate_cycle(Cycle::new(7));
         for (i, t) in txns.iter().enumerate() {
-            assert_eq!(t.id(), TxnId::new(Cycle::new(7), i as u32));
+            assert_eq!(t.id(), TxnId::new(Cycle::new(7), u32::try_from(i).unwrap()));
         }
     }
 

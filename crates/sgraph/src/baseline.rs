@@ -82,10 +82,10 @@ impl BaselineGraph {
     pub fn add_edge(&mut self, from: Node, to: Node) -> bool {
         self.add_node(from);
         self.add_node(to);
+        #[expect(clippy::expect_used, reason = "the endpoint was inserted above")]
         let succ = self
             .out_edges
             .get_mut(&from)
-            // lint: allow(panic) — the endpoint entry was inserted earlier in this method
             .expect("endpoint inserted above");
         if succ.contains(&to) {
             return false;

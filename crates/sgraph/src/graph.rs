@@ -196,9 +196,8 @@ impl SerializationGraph {
                 id
             }
             None => {
-                let id = u32::try_from(self.nodes.len())
-                    // lint: allow(panic) — a graph of 2^32 live nodes exceeds any Lemma-1 window
-                    .expect("node interner overflow");
+                #[expect(clippy::expect_used, reason = "no Lemma-1 window holds 2^32 nodes")]
+                let id = u32::try_from(self.nodes.len()).expect("node interner overflow");
                 self.nodes.push(node);
                 self.out.push(Vec::new());
                 self.out_ids.push(Vec::new());

@@ -42,8 +42,6 @@
 //! assert!(g.would_close_cycle(Node::Txn(t1), Node::Query(r)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;

@@ -1,9 +1,6 @@
 //! Property tests for the serialization graph.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 use proptest::prelude::*;
 
 use bpush_sgraph::baseline::BaselineGraph;

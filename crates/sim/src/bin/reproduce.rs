@@ -8,6 +8,12 @@
 //! switches to the reduced test-scale parameters; `--csv DIR` writes each
 //! table as `DIR/<id>.csv` besides printing it.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports to the terminal"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

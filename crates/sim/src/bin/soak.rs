@@ -21,6 +21,12 @@
 //! Exits non-zero on the first violation, printing the offending
 //! configuration for reproduction.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports to the terminal"
+)]
+
 use std::process::ExitCode;
 
 use rand::rngs::StdRng;

@@ -530,8 +530,8 @@ impl Simulation {
             let measured = bcast.cycle() >= warmup;
             // Wall-time the client side of the cycle — the validation
             // work whose cost the interned data structures target. The
-            // clock lives here in `bpush-sim`; protocol crates are
-            // clock-free by lint rule L2.
+            // clock lives here in `bpush-sim`; clippy's
+            // `disallowed_methods` keeps the protocol crates clock-free.
             let cycle_started = std::time::Instant::now();
             for client in &mut self.clients {
                 let connected = !client.roll_disconnect();

@@ -127,11 +127,11 @@ impl Cycle {
     /// # Panics
     /// Panics if `self` is [`Cycle::ZERO`].
     #[must_use]
+    #[expect(clippy::expect_used, reason = "documented panic (see `# Panics`)")]
     pub fn prev(self) -> Cycle {
         Cycle(
             self.0
                 .checked_sub(1)
-                // lint: allow(panic) — documented panic: no predecessor of cycle zero
                 .expect("cycle zero has no predecessor"),
         )
     }
@@ -140,10 +140,10 @@ impl Cycle {
     ///
     /// # Panics
     /// Panics if `earlier` is after `self`.
+    #[expect(clippy::expect_used, reason = "documented panic (see `# Panics`)")]
     pub fn distance_from(self, earlier: Cycle) -> u64 {
         self.0
             .checked_sub(earlier.0)
-            // lint: allow(panic) — documented panic: negative distance is a caller bug
             .expect("`earlier` must not be after `self`")
     }
 
@@ -308,10 +308,10 @@ impl Slot {
     ///
     /// # Panics
     /// Panics if `earlier` is after `self`.
+    #[expect(clippy::expect_used, reason = "documented panic (see `# Panics`)")]
     pub fn since(self, earlier: Slot) -> u64 {
         self.0
             .checked_sub(earlier.0)
-            // lint: allow(panic) — documented panic: negative distance is a caller bug
             .expect("`earlier` must not be after `self`")
     }
 

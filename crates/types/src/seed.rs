@@ -87,7 +87,7 @@ mod tests {
             seq.derive(&["ab"]),
             seq.derive(&["b", "a"]),
         ];
-        let set: std::collections::HashSet<_> = seeds.iter().collect();
+        let set: std::collections::BTreeSet<_> = seeds.iter().collect();
         assert_eq!(set.len(), seeds.len(), "all derived seeds distinct");
     }
 

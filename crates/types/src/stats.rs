@@ -335,8 +335,9 @@ impl Histogram {
                 return Self::bucket_lower(idx);
             }
         }
-        // lint: allow(panic) — count > 0 was checked at the top, so buckets is nonempty
-        Self::bucket_lower(*self.buckets.keys().last().expect("nonempty"))
+        #[expect(clippy::expect_used, reason = "count > 0, so buckets is nonempty")]
+        let last = *self.buckets.keys().last().expect("nonempty");
+        Self::bucket_lower(last)
     }
 
     /// Merges another histogram into this one.

@@ -61,7 +61,7 @@ impl ZipfSampler {
             acc += 1.0 / ((i + 1) as f64).powf(theta);
             cdf.push(acc);
         }
-        // lint: allow(panic) — n == 0 was rejected above
+        #[expect(clippy::expect_used, reason = "n == 0 was rejected above")]
         let total = *cdf.last().expect("n > 0");
         for p in &mut cdf {
             *p /= total;
@@ -331,7 +331,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let items = p.sample_distinct(&mut rng, 20);
         assert_eq!(items.len(), 20);
-        let set: std::collections::HashSet<_> = items.iter().collect();
+        let set: std::collections::BTreeSet<_> = items.iter().collect();
         assert_eq!(set.len(), 20);
     }
 
@@ -340,7 +340,7 @@ mod tests {
         let p = AccessPattern::new(16, 1.2, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let items = p.sample_distinct(&mut rng, 16);
-        let set: std::collections::HashSet<_> = items.iter().collect();
+        let set: std::collections::BTreeSet<_> = items.iter().collect();
         assert_eq!(set.len(), 16);
     }
 

@@ -12,9 +12,6 @@ use crate::callgraph::{CallGraph, DepMap};
 use crate::items::{EnumDef, FileIndex};
 use crate::{Diagnostic, Rule, DETERMINISTIC_CRATES};
 
-/// Path last-segments whose import is a determinism-taint source (L11).
-const TAINT_SOURCES: &[&str] = &["Instant", "SystemTime", "HashMap", "HashSet", "thread_rng"];
-
 /// Summary facts from the interprocedural pass.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
@@ -64,7 +61,7 @@ pub fn run(files: &[FileIndex], deps: &DepMap, diags: &mut Vec<Diagnostic>) -> A
         .collect();
 
     check_lock_order(&graph, diags);
-    check_taint(&graph, files, diags);
+    check_taint(&graph, diags);
     check_state_total(files, diags, &mut analysis);
     check_decode_bounds(&graph, files, diags, &mut analysis);
     check_overflow(files, diags);
@@ -233,34 +230,12 @@ fn check_lock_order(graph: &CallGraph<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L11: token-level taint. Two legs — renamed imports of
-/// non-deterministic types inside deterministic crates (the indirection
-/// L2's text match cannot see), and deterministic-crate functions that
-/// transitively reach a needle-bearing function in a crate *outside*
-/// the deterministic set (where L2 never looks).
-fn check_taint(graph: &CallGraph<'_>, files: &[FileIndex], diags: &mut Vec<Diagnostic>) {
-    for file in files {
-        if !DETERMINISTIC_CRATES.contains(&file.crate_name.as_str()) {
-            continue;
-        }
-        for alias in &file.aliases {
-            let last = alias.target.rsplit("::").next().unwrap_or(&alias.target);
-            if alias.renamed && TAINT_SOURCES.contains(&last) {
-                diags.push(Diagnostic {
-                    rule: Rule::Taint,
-                    file: file.rel.clone(),
-                    line: alias.line,
-                    message: format!(
-                        "`{}` aliases non-deterministic `{}` in deterministic crate `{}`; \
-                         renaming does not launder the taint — use seeded rand, logical \
-                         clocks, and BTree collections",
-                        alias.binding, alias.target, file.crate_name
-                    ),
-                });
-            }
-        }
-    }
-
+/// L11: deterministic-crate functions that transitively reach a
+/// needle-bearing function in a crate *outside* the deterministic set.
+/// Within the set, clippy's path-resolved `disallowed_methods`/
+/// `disallowed_types` already reject the construct at its use site,
+/// renamed imports included; only the crate boundary hides it.
+fn check_taint(graph: &CallGraph<'_>, diags: &mut Vec<Diagnostic>) {
     for id in graph.ids() {
         let (file, f) = graph.fn_at(id);
         if f.is_test || !DETERMINISTIC_CRATES.contains(&file.crate_name.as_str()) {
@@ -273,7 +248,7 @@ fn check_taint(graph: &CallGraph<'_>, files: &[FileIndex], diags: &mut Vec<Diagn
             }
             let (rfile, rf) = graph.fn_at(rid);
             if DETERMINISTIC_CRATES.contains(&rfile.crate_name.as_str()) {
-                continue; // L2 already polices needles inside the set
+                continue; // clippy polices needles inside the set
             }
             if let Some(n) = rf.dets.first() {
                 diags.push(Diagnostic {
@@ -298,9 +273,9 @@ fn check_taint(graph: &CallGraph<'_>, files: &[FileIndex], diags: &mut Vec<Diagn
 
 /// L12: nothing reachable from a `hot_path`/`sans_io` entry point may
 /// hit an implicit panic site — a raw index/slice, a division with a
-/// non-constant divisor, or `unreachable!`. These are exactly the sites
-/// L1's text needles miss (no `unwrap`/`panic!` token), and a helper
-/// crate two hops away is still on the hook.
+/// non-constant divisor, or `unreachable!`. clippy sees `unreachable!`
+/// only at its own site and the implicit sites not at all; here a
+/// helper crate two hops away is still on the hook.
 fn check_panic_reach(graph: &CallGraph<'_>, start: usize, diags: &mut Vec<Diagnostic>) {
     let (file, f) = graph.fn_at(start);
     let (reached, parent) = graph.reachable(start);

@@ -326,6 +326,7 @@ impl WireFixture {
     /// Bytes in: reassemble segments from 64-byte transport chunks,
     /// decode each, and feed the control reports to a fresh SGT
     /// protocol.
+    #[expect(clippy::expect_used, reason = "the fixture encoded these bytes itself")]
     fn decode_feed(&self) -> u64 {
         let mut protocol = Method::Sgt.build_protocol();
         let mut feed = WireFeed::new();
@@ -336,9 +337,7 @@ impl WireFixture {
             }
             // The fixture encoded these bytes itself; malformed
             // input here is a framing bug worth a loud stop.
-            // lint: allow(panic) — fixture-encoded bytes; a decode failure is a framing bug
             while let Some(seg) = feed.pop().expect("well-formed fixture stream") {
-                // lint: allow(panic) — fixture-encoded bytes; a decode failure is a framing bug
                 match decode_segment(seg, self.params).expect("well-formed fixture stream") {
                     DecodedSegment::Control(ctrl) => protocol.on_control(&ctrl),
                     DecodedSegment::Data(_, records) => {

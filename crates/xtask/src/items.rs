@@ -2,7 +2,7 @@
 //! extracts everything the interprocedural rules need — function items
 //! with their call sites, allocation / IO / determinism needles, lock
 //! acquisitions, implicit-panic sites, raw index/slice accesses,
-//! tick-typed arithmetic, `use` aliases, and the `bpush-lint:`
+//! tick-typed arithmetic, and the `bpush-lint:`
 //! annotations (`hot_path`, `sans_io`, `protocol_enum`, `decode_path`).
 //!
 //! Two token-stream side scans feed the dataflow rules: enum
@@ -155,7 +155,7 @@ pub struct IndexSite {
     pub what: String,
     /// 1-based source line.
     pub line: usize,
-    /// Suppressed for L12 via `allow(panic-reach)` or `allow(panic)`.
+    /// Suppressed for L12 via `allow(panic-reach)`.
     pub allowed_panic: bool,
     /// Suppressed for L14 via `allow(decode-bounds)`.
     pub allowed_decode: bool,
@@ -228,20 +228,6 @@ pub struct FnItem {
     pub ticks: Vec<Needle>,
 }
 
-/// A binding introduced by a `use` declaration.
-#[derive(Debug, Clone)]
-pub struct UseAlias {
-    /// The name the declaration brings into scope.
-    pub binding: String,
-    /// The full path, `::`-joined, as written.
-    pub target: String,
-    /// Whether an `as` rename changed the binding from the path's last
-    /// segment — the indirection L2's text match cannot see (L11).
-    pub renamed: bool,
-    /// 1-based source line.
-    pub line: usize,
-}
-
 /// Everything indexed from one source file.
 #[derive(Debug, Clone)]
 pub struct FileIndex {
@@ -255,8 +241,6 @@ pub struct FileIndex {
     pub decode_path: bool,
     /// Function items in declaration order.
     pub fns: Vec<FnItem>,
-    /// `use` bindings declared outside `#[cfg(test)]` regions.
-    pub aliases: Vec<UseAlias>,
     /// Enum definitions with their variant lists (L13).
     pub enums: Vec<EnumDef>,
     /// `match` expressions with their arm shapes (L13).
@@ -288,7 +272,6 @@ pub fn index_file(
     let masked = |line: usize| mask.get(line.saturating_sub(1)).copied().unwrap_or(false);
 
     let mut fns: Vec<FnItem> = Vec::new();
-    let mut aliases: Vec<UseAlias> = Vec::new();
 
     // (frame open depth, fn index) for fn bodies; impl frames carry the
     // target type. `pending_*` bridges the gap between a header and its
@@ -328,11 +311,11 @@ pub fn index_file(
                 i += 1;
             }
             TokenKind::Ident if t.text == "use" && pending_fn.is_none() => {
-                let (consumed, mut found) = parse_use(&tokens[i..], t.line);
-                if !masked(t.line) {
-                    aliases.append(&mut found);
+                // A `use` tree's braces are not item frames: skip to its `;`.
+                while tokens.get(i).is_some_and(|t| !t.is_punct(";")) {
+                    i += 1;
                 }
-                i += consumed;
+                i += 1;
             }
             TokenKind::Ident if t.text == "impl" && !type_position(tokens, i) => {
                 pending_impl = Some(impl_target(tokens, i + 1));
@@ -377,7 +360,6 @@ pub fn index_file(
         sans_io,
         decode_path,
         fns,
-        aliases,
         enums: extract_enums(tokens, lines, mask),
         matches: extract_matches(tokens, mask, &allowed),
     }
@@ -413,10 +395,7 @@ fn scan_body_token(
         }
         // `unreachable!` asserts a dead branch: recorded as a panic
         // fact so L12 can attribute it to the entry points reaching it.
-        if t.text == "unreachable"
-            && !allowed(line, Rule::PanicReach)
-            && !allowed(line, Rule::Panic)
-        {
+        if t.text == "unreachable" && !allowed(line, Rule::PanicReach) {
             item.panics.push(Needle {
                 what: "unreachable!".to_string(),
                 line,
@@ -425,7 +404,8 @@ fn scan_body_token(
         return;
     }
 
-    // Determinism needles by bare ident (token-level L2 equivalents).
+    // Determinism needles by bare ident (what clippy's disallowed_types
+    // rejects at the site; L11 follows them across crates).
     if (t.text == "HashMap" || t.text == "HashSet") && !allowed(line, Rule::Taint) {
         item.dets.push(Needle {
             what: t.text.clone(),
@@ -569,7 +549,7 @@ fn scan_punct_token(
             item.indexes.push(IndexSite {
                 what: format!("`{base}[…]`"),
                 line,
-                allowed_panic: allowed(line, Rule::PanicReach) || allowed(line, Rule::Panic),
+                allowed_panic: allowed(line, Rule::PanicReach),
                 allowed_decode: allowed(line, Rule::DecodeBounds),
             });
         }
@@ -601,7 +581,7 @@ fn scan_punct_token(
                 return;
             }
         }
-        if !allowed(line, Rule::PanicReach) && !allowed(line, Rule::Panic) {
+        if !allowed(line, Rule::PanicReach) {
             item.panics.push(Needle {
                 what: format!("`{}` with non-constant divisor", t.text),
                 line,
@@ -823,7 +803,8 @@ fn impl_target(tokens: &[Token], start: usize) -> Option<String> {
 
 /// Whether the annotation `marker` sits in the comment of `fn_line`
 /// itself or of the contiguous run of comment/attribute-only lines
-/// directly above it.
+/// directly above it (a multi-line attribute counts as attribute lines
+/// from its closing `)]` up to its `#[`).
 fn has_marker_above(lines: &[SplitLine], fn_line: usize, marker: &str) -> bool {
     let idx = fn_line.saturating_sub(1);
     if lines
@@ -833,117 +814,38 @@ fn has_marker_above(lines: &[SplitLine], fn_line: usize, marker: &str) -> bool {
         return true;
     }
     let mut j = idx;
+    let mut in_attr = false;
     while j > 0 {
         j -= 1;
         let l = &lines[j];
         let code = l.code.trim();
-        if !code.is_empty() && !code.starts_with("#[") && !code.starts_with("#!") {
+        let attr_start = code.starts_with("#[") || code.starts_with("#!");
+        if in_attr && code.contains(['{', '}', ';']) {
             return false;
+        }
+        if !in_attr && !code.is_empty() && !attr_start {
+            if !code.ends_with(")]") {
+                return false;
+            }
+            in_attr = true;
+        }
+        if attr_start {
+            in_attr = false;
         }
         if has_directive(&l.comment, marker) {
             return true;
         }
-        if !code.is_empty() {
-            // attribute line without the marker: keep walking
+        if !code.is_empty() || in_attr {
+            // attribute line (or the blanked inside of a string that
+            // continues across lines in one) without the marker
             continue;
         }
-        if l.comment.is_empty() && code.is_empty() {
+        if l.comment.is_empty() {
             // blank line ends the attached block
             return false;
         }
     }
     false
-}
-
-/// Parses one `use …;` declaration starting at `tokens[0]` (the `use`
-/// ident). Returns the token count consumed and the bindings found.
-fn parse_use(tokens: &[Token], line: usize) -> (usize, Vec<UseAlias>) {
-    let mut end = 1;
-    while end < tokens.len() && !tokens[end].is_punct(";") {
-        end += 1;
-    }
-    let body = &tokens[1..end];
-    let mut out = Vec::new();
-    let mut pos = 0;
-    parse_use_tree(body, &mut pos, &mut Vec::new(), &mut out, line);
-    (end + 1, out)
-}
-
-/// Recursive `use`-tree walk: `a::b::{c, d as e, f::*}`.
-fn parse_use_tree(
-    tokens: &[Token],
-    pos: &mut usize,
-    prefix: &mut Vec<String>,
-    out: &mut Vec<UseAlias>,
-    line: usize,
-) {
-    let mut segs: Vec<String> = Vec::new();
-    loop {
-        match tokens.get(*pos) {
-            Some(t) if t.kind == TokenKind::Ident && t.text == "as" => {
-                *pos += 1;
-                if let Some(b) = tokens.get(*pos).filter(|b| b.kind == TokenKind::Ident) {
-                    let target = join_path(prefix, &segs);
-                    let renamed = segs.last().is_some_and(|last| *last != b.text);
-                    out.push(UseAlias {
-                        binding: b.text.clone(),
-                        target,
-                        renamed,
-                        line,
-                    });
-                    *pos += 1;
-                }
-                return;
-            }
-            Some(t) if t.kind == TokenKind::Ident => {
-                segs.push(t.text.clone());
-                *pos += 1;
-                if tokens.get(*pos).is_some_and(|n| n.is_punct("::")) {
-                    *pos += 1;
-                }
-                continue; // next iteration sees `as`, `{`, `*`, or the end
-            }
-            Some(t) if t.is_punct("{") => {
-                *pos += 1;
-                let depth_before = prefix.len();
-                prefix.extend(segs.iter().cloned());
-                loop {
-                    match tokens.get(*pos) {
-                        Some(t) if t.is_punct("}") => {
-                            *pos += 1;
-                            break;
-                        }
-                        Some(t) if t.is_punct(",") => {
-                            *pos += 1;
-                        }
-                        Some(_) => parse_use_tree(tokens, pos, prefix, out, line),
-                        None => break,
-                    }
-                }
-                prefix.truncate(depth_before);
-                return;
-            }
-            Some(t) if t.is_punct("*") => {
-                *pos += 1;
-                return; // glob: introduces no single binding we track
-            }
-            _ => break,
-        }
-    }
-    if let Some(last) = segs.last() {
-        out.push(UseAlias {
-            binding: last.clone(),
-            target: join_path(prefix, &segs),
-            renamed: false,
-            line,
-        });
-    }
-}
-
-fn join_path(prefix: &[String], segs: &[String]) -> String {
-    let mut parts: Vec<&str> = prefix.iter().map(String::as_str).collect();
-    parts.extend(segs.iter().map(String::as_str));
-    parts.join("::")
 }
 
 /// Side scan over the whole token stream for `enum` definitions,
@@ -1238,33 +1140,22 @@ mod tests {
     }
 
     #[test]
-    fn use_aliases_track_renames_and_groups() {
-        let fi = index(
-            "use std::time::Instant as Stamp;\nuse std::collections::{BTreeMap, HashMap as Plain};\n",
-        );
-        let got: Vec<(&str, &str, bool)> = fi
-            .aliases
-            .iter()
-            .map(|a| (a.binding.as_str(), a.target.as_str(), a.renamed))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("Stamp", "std::time::Instant", true),
-                ("BTreeMap", "std::collections::BTreeMap", false),
-                ("Plain", "std::collections::HashMap", true),
-            ]
-        );
-    }
-
-    #[test]
     fn test_mask_marks_fns_and_drops_aliases() {
         let fi = index(
             "fn live() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn t() {}\n}\n",
         );
+        assert_eq!(fi.fns.len(), 2);
         assert!(!fi.fns[0].is_test);
         assert!(fi.fns[1].is_test);
-        assert!(fi.aliases.is_empty());
+    }
+
+    #[test]
+    fn markers_attach_across_multi_line_attributes() {
+        let fi = index(
+            "// bpush-lint: hot_path — probe\n#[expect(\n    clippy::expect_used,\n    reason = \"a reason \\\n    continued\"\n)]\nfn f() {}\nfn h() {}\n",
+        );
+        assert!(fi.fns[0].hot);
+        assert!(!fi.fns[1].hot);
     }
 
     #[test]

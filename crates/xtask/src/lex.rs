@@ -1,9 +1,9 @@
 //! Lexical layer of the lint engine: comment/string splitting and the
-//! token stream the interprocedural rules (L8–L11) run on.
+//! token stream the interprocedural rules (L8–L15) run on.
 //!
 //! Every source file is read and lexed exactly **once** per lint run
 //! (see [`crate::lint_workspace_report`]): the per-line [`SplitLine`]
-//! view feeds the line-oriented rules L0–L7, and [`lex_tokens`] derives
+//! view feeds the line-oriented rules L0 and L4, and [`lex_tokens`] derives
 //! the identifier/punctuation token stream — with line spans — that the
 //! item indexer ([`crate::items`]) and call-graph builder
 //! ([`crate::callgraph`]) consume. String literal *contents* are blanked

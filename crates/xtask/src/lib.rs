@@ -2,49 +2,58 @@
 //!
 //! Run it as `cargo run -p xtask -- lint` (or `cargo xtask lint` via the
 //! repo's cargo alias). The pass walks every workspace crate under
-//! `crates/` and enforces a catalog of invariants that generic tooling
-//! cannot express:
+//! `crates/` and enforces the invariants that rustc and clippy cannot
+//! express:
 //!
 //! | code | rule |
 //! |------|------|
 //! | `L0/annotation` | the escape-hatch annotation itself must be well-formed |
-//! | `L1/panic` | no `unwrap`/`expect`/`panic!` family in non-test first-party code |
-//! | `L2/determinism` | the protocol crates (`sgraph`, `core`, `client`, `server`, `broadcast`) must stay bit-for-bit deterministic: no ambient RNG, no wall clocks, no hash-ordered collections |
-//! | `L3/crate-attrs` | every crate root carries `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
 //! | `L4/conformance` | every `ReadOnlyProtocol` impl is exercised by the `bpush-core` conformance battery from some `tests/` file |
-//! | `L5/locks` | `parking_lot` is the workspace lock standard; `std::sync` `Mutex`/`RwLock` are rejected |
-//! | `L6/casts` | no lossy `as` narrowing of numerics in the deterministic crates; convert with `From`/`TryFrom` instead |
-//! | `L7/stdout` | no `println!`/`eprintln!` family in the deterministic crates; observations go through the `bpush-obs` sink |
 //! | `L8/hot-alloc` | functions annotated `// bpush-lint: hot_path` must not *transitively* reach allocating constructs (`Box::new`, `Vec::push`, `format!`, `collect`, …) |
 //! | `L9/sans-io` | files declared `// bpush-lint: sans_io` (the protocol core) must not transitively reach clocks, threads, channels, filesystem, or sockets |
 //! | `L10/lock-order` | the workspace lock-acquisition graph must be acyclic (deadlock freedom) |
-//! | `L11/taint` | token-level determinism taint: renamed imports and cross-crate call chains cannot smuggle `Instant`/`HashMap`-style constructs into the deterministic crates past L2's text match |
+//! | `L11/taint` | deterministic-crate functions must not reach `Instant`/`HashMap`-style constructs through a call chain into a crate outside the deterministic set |
 //! | `L12/panic-reach` | nothing reachable from a `hot_path` or `sans_io` entry point may hit an implicit panic site (indexing, slicing, non-constant division, `unreachable!`) |
 //! | `L13/state-total` | matches over `protocol_enum`-marked enums must name every variant — wildcard `_` and catch-all binding arms are banned |
 //! | `L14/decode-bounds` | files marked `decode_path` may only touch input bytes through checked `take_*` accessors — no raw indexing/slicing |
 //! | `L15/overflow` | arithmetic on tick/cycle/id-typed values must be checked/wrapping/saturating or carry an annotated justification |
 //!
-//! Rules L0–L7 are line-level; L8–L15 are interprocedural dataflow
-//! rules, built on the token stream from [`lex`], the item index from
-//! [`items`], and the workspace call graph from [`callgraph`] (see
-//! [`analysis`] for the drivers). Every file is read, lexed, and
-//! indexed exactly once per run — in parallel across `std::thread`
-//! workers with deterministic path-sorted output — and all sixteen
-//! rules share that pass; `--json` reports the per-phase micro-timings.
+//! The rules that need only a path-resolved look at one site live in the
+//! workspace lint configuration instead (`[workspace.lints]` in
+//! `Cargo.toml`, `clippy.toml`): panic-freedom (`clippy::unwrap_used`,
+//! `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`),
+//! determinism and the lock standard (`disallowed_methods`,
+//! `disallowed_types`), lossy casts (`cast_possible_truncation`,
+//! `cast_possible_wrap`, `cast_sign_loss`),
+//! terminal output (`print_stdout`, `print_stderr`), and the crate
+//! attributes (`unsafe_code`, `missing_docs`). Crates outside
+//! [`DETERMINISTIC_CRATES`] opt out of the clock, cast and output lints
+//! once, at each crate root.
+//!
+//! L4 is line-level; L8–L15 are interprocedural dataflow rules, built on
+//! the token stream from [`lex`], the item index from [`items`], and the
+//! workspace call graph from [`callgraph`] (see [`analysis`] for the
+//! drivers). Every file is read, lexed, and indexed exactly once per
+//! run — in parallel across `std::thread` workers with deterministic
+//! path-sorted output — and all ten rules share that pass; `--json`
+//! reports the per-phase micro-timings.
 //!
 //! # Escape hatch
 //!
 //! A violation can be waived in place with a line comment of the form
-//! `lint: allow(panic) — reason the construct is sound here`, either at
-//! the end of the offending line or alone on the line directly above it.
-//! The rule name goes in the parentheses (`panic`, `determinism`,
-//! `crate-attrs`, `conformance`, `locks`, `casts`, `stdout`,
+//! `lint: allow(hot-alloc) — reason the construct is sound here`, either
+//! at the end of the offending line or alone on the line directly above
+//! it. The rule name goes in the parentheses (`conformance`,
 //! `hot-alloc`, `sans-io`, `lock-order`, `taint`, `panic-reach`,
 //! `state-total`, `decode-bounds`, or `overflow`; comma-separated for
 //! more than one) and the trailing reason is mandatory — an annotation
 //! with no reason, or naming an unknown rule, is itself reported as
-//! `L0/annotation`. `lint --json` publishes the per-rule suppression
-//! counts so the escape-hatch budget is visible (and pinned by a test).
+//! `L0/annotation`. The clippy rules are waived with
+//! `#[expect(clippy::…, reason = "…")]`, and
+//! `clippy::allow_attributes_without_reason` makes the reason mandatory
+//! there too. `lint --json` publishes the per-rule suppression counts of
+//! both kinds ([`CLIPPY_LINTS`]) so the escape-hatch budget is visible
+//! (and pinned by a test).
 //!
 //! # Contract annotations
 //!
@@ -66,8 +75,11 @@
 //! itself. `#[cfg(test)]` regions are excluded by brace counting on the
 //! stripped text.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::cast_possible_truncation,
+    reason = "developer tooling outside the deterministic crates: it times its own passes"
+)]
 
 pub mod analysis;
 pub mod bench;
@@ -85,34 +97,23 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use lex::{lex_tokens, split_source, test_mask, SplitLine};
+use lex::{lex_tokens, split_source, test_mask, SplitLine, Token};
 
 /// Identifier of one rule in the lint catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// `L0/annotation`: an escape-hatch annotation is malformed.
     Annotation,
-    /// `L1/panic`: panic path in non-test first-party code.
-    Panic,
-    /// `L2/determinism`: non-deterministic construct in a protocol crate.
-    Determinism,
-    /// `L3/crate-attrs`: crate root is missing a mandatory attribute.
-    CrateAttrs,
     /// `L4/conformance`: a `ReadOnlyProtocol` impl escapes the battery.
     Conformance,
-    /// `L5/locks`: `std::sync` lock where `parking_lot` is the standard.
-    Locks,
-    /// `L6/casts`: lossy `as` numeric cast in a deterministic crate.
-    Casts,
-    /// `L7/stdout`: `println!`-family output in a deterministic crate.
-    Stdout,
     /// `L8/hot-alloc`: a `hot_path` fn transitively allocates.
     HotAlloc,
     /// `L9/sans-io`: a `sans_io` file transitively touches the outside world.
     SansIo,
     /// `L10/lock-order`: the lock-acquisition graph has a cycle.
     LockOrder,
-    /// `L11/taint`: determinism taint smuggled past L2's text match.
+    /// `L11/taint`: a deterministic crate reaches a non-deterministic
+    /// construct through another crate.
     Taint,
     /// `L12/panic-reach`: an implicit panic site is reachable from a
     /// `hot_path`/`sans_io` entry point.
@@ -129,13 +130,7 @@ pub enum Rule {
 /// Every rule, in catalog order (the order `suppressions` reports in).
 pub const ALL_RULES: &[Rule] = &[
     Rule::Annotation,
-    Rule::Panic,
-    Rule::Determinism,
-    Rule::CrateAttrs,
     Rule::Conformance,
-    Rule::Locks,
-    Rule::Casts,
-    Rule::Stdout,
     Rule::HotAlloc,
     Rule::SansIo,
     Rule::LockOrder,
@@ -151,13 +146,7 @@ impl Rule {
     pub fn code(self) -> &'static str {
         match self {
             Rule::Annotation => "L0/annotation",
-            Rule::Panic => "L1/panic",
-            Rule::Determinism => "L2/determinism",
-            Rule::CrateAttrs => "L3/crate-attrs",
             Rule::Conformance => "L4/conformance",
-            Rule::Locks => "L5/locks",
-            Rule::Casts => "L6/casts",
-            Rule::Stdout => "L7/stdout",
             Rule::HotAlloc => "L8/hot-alloc",
             Rule::SansIo => "L9/sans-io",
             Rule::LockOrder => "L10/lock-order",
@@ -173,13 +162,7 @@ impl Rule {
     pub fn allow_name(self) -> &'static str {
         match self {
             Rule::Annotation => "annotation",
-            Rule::Panic => "panic",
-            Rule::Determinism => "determinism",
-            Rule::CrateAttrs => "crate-attrs",
             Rule::Conformance => "conformance",
-            Rule::Locks => "locks",
-            Rule::Casts => "casts",
-            Rule::Stdout => "stdout",
             Rule::HotAlloc => "hot-alloc",
             Rule::SansIo => "sans-io",
             Rule::LockOrder => "lock-order",
@@ -284,9 +267,11 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Crates whose sources must be bit-for-bit deterministic (rule L2):
-/// everything on the simulated protocol path, identified by directory
-/// name under `crates/`.
+/// Crates whose sources must be bit-for-bit deterministic: everything on
+/// the simulated protocol path, identified by directory name under
+/// `crates/`. Only these crates are held to the clock, cast and output
+/// lints among [`CLIPPY_LINTS`]; every other crate opts out of them at
+/// its crate roots. L11 guards the boundary between the two sets.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "sgraph",
     "core",
@@ -297,37 +282,38 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "obs",
 ];
 
-const PANIC_NEEDLES: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
+/// The clippy lints that carry the rules this pass used to check by text
+/// match. A `#[expect]`/`#[allow]` naming one of them in non-test `src/`
+/// code is an escape-hatch use, counted in [`LintReport::suppressions`]
+/// after the `lint: allow(…)` annotations, in this order.
+pub const CLIPPY_LINTS: &[&str] = &[
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+    "clippy::disallowed_methods",
+    "clippy::disallowed_types",
+    "clippy::cast_possible_truncation",
+    "clippy::cast_possible_wrap",
+    "clippy::cast_sign_loss",
+    "clippy::print_stdout",
+    "clippy::print_stderr",
 ];
 
-const DETERMINISM_NEEDLES: &[&str] = &[
-    "thread_rng",
-    "SystemTime::now",
-    "Instant::now",
-    "HashMap",
-    "HashSet",
+/// The [`CLIPPY_LINTS`] that bind only the [`DETERMINISTIC_CRATES`]. A
+/// crate outside that set opts out of them with one inner attribute per
+/// crate root; that opt-out sets the crate's scope and is not counted
+/// as a suppression.
+const SCOPED_CLIPPY_LINTS: &[&str] = &[
+    "clippy::disallowed_methods",
+    "clippy::cast_possible_truncation",
+    "clippy::cast_possible_wrap",
+    "clippy::cast_sign_loss",
+    "clippy::print_stdout",
+    "clippy::print_stderr",
 ];
-
-/// Targets for which an `as` cast can silently drop bits (or, for
-/// `f32`, precision). Widening targets (`u64`, `i64`, `usize`, `f64`)
-/// are exempt: on every supported platform they cannot lose integer
-/// information that the protocol crates put into them.
-const NARROWING_CAST_NEEDLES: &[&str] = &[
-    " as u8", " as u16", " as u32", " as i8", " as i16", " as i32", " as f32",
-];
-
-/// Longest-first so the reported needle is the macro actually written
-/// (`println!(` is a substring of `eprintln!(`).
-const STDOUT_NEEDLES: &[&str] = &["eprintln!(", "println!(", "eprint!(", "print!("];
-
-const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
-const DENY_MISSING_DOCS: &str = "#![deny(missing_docs)]";
 
 /// Lists the workspace crates under `root/crates`, sorted by name.
 ///
@@ -364,7 +350,7 @@ pub struct LintTiming {
     pub lex_ns: u64,
     /// Time spent building the per-file item indexes.
     pub index_ns: u64,
-    /// Time spent running all sixteen rules over the shared pass.
+    /// Time spent running all ten rules over the shared pass.
     pub rules_ns: u64,
     /// Worker threads the per-file phases ran on.
     pub workers: usize,
@@ -380,9 +366,10 @@ pub struct LintReport {
     pub files: usize,
     /// Micro-timings of the shared pass.
     pub timing: LintTiming,
-    /// Count of `lint: allow(…)` mentions per rule, in [`ALL_RULES`]
-    /// order — the escape-hatch budget.
-    pub suppressions: Vec<(Rule, usize)>,
+    /// The escape-hatch budget: the count of `lint: allow(…)` mentions
+    /// per rule code, in [`ALL_RULES`] order, then of waiver attributes
+    /// per clippy lint, in [`CLIPPY_LINTS`] order.
+    pub suppressions: Vec<(&'static str, usize)>,
     /// Every `crate::fn` carrying the `hot_path` annotation (L8 set).
     pub hot_functions: Vec<String>,
     /// Every file declaring `sans_io` (L9 surface), workspace-relative.
@@ -412,17 +399,17 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
     lint_workspace_report(root).map(|r| r.diagnostics)
 }
 
-/// One source file after the shared read + lex pass. All twelve rules
-/// consume this record; nothing re-reads or re-tokenizes.
+/// One source file after the shared read + lex pass. Every rule
+/// consumes this record or the item index built beside it; nothing
+/// re-reads or re-tokenizes.
 struct FileRecord {
-    crate_name: String,
     rel: PathBuf,
-    is_crate_root: bool,
     lines: Vec<SplitLine>,
     mask: Vec<bool>,
     allows: Vec<BTreeSet<Rule>>,
     malformed: Vec<(usize, String)>,
     allow_counts: Vec<(Rule, usize)>,
+    waivers: Vec<(&'static str, usize)>,
 }
 
 /// Runs the whole catalog and returns the full [`LintReport`] —
@@ -472,20 +459,21 @@ fn prepare_file(
     let mask = test_mask(&lines);
     let (allows, malformed, allow_counts) = collect_allows(&lines);
     let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
+    let scope_root = is_crate_root && !DETERMINISTIC_CRATES.contains(&name);
+    let waivers = clippy_waivers(&tokens, &mask, scope_root);
 
     let t2 = Instant::now();
     let index = items::index_file(name, &rel, &lines, &mask, &tokens, &allows);
     *index_ns = index_ns.saturating_add(elapsed_ns(t2));
 
     let rec = FileRecord {
-        crate_name: name.to_string(),
         rel,
-        is_crate_root,
         lines,
         mask,
         allows,
         malformed,
         allow_counts,
+        waivers,
     };
     Ok((rec, index))
 }
@@ -514,9 +502,8 @@ pub fn lint_workspace_report_with_workers(
         if src.is_dir() {
             let mut files = Vec::new();
             walk_rs(&src, &mut files)?;
-            let root_file = crate_root_file(&src);
             for file in files {
-                let is_root = Some(file.as_path()) == root_file.as_deref();
+                let is_root = is_crate_root(&src, &file);
                 sources.push((name.clone(), file, is_root));
             }
         }
@@ -623,10 +610,16 @@ pub fn lint_workspace_report_with_workers(
     });
     timing.rules_ns = elapsed_ns(t2);
 
-    let mut suppressions: Vec<(Rule, usize)> = ALL_RULES.iter().map(|r| (*r, 0)).collect();
+    let mut suppressions: Vec<(&'static str, usize)> = ALL_RULES
+        .iter()
+        .map(|r| r.code())
+        .chain(CLIPPY_LINTS.iter().copied())
+        .map(|label| (label, 0))
+        .collect();
     for rec in &records {
-        for (rule, n) in &rec.allow_counts {
-            if let Some(slot) = suppressions.iter_mut().find(|(r, _)| r == rule) {
+        let annotations = rec.allow_counts.iter().map(|(r, n)| (r.code(), *n));
+        for (label, n) in annotations.chain(rec.waivers.iter().copied()) {
+            if let Some(slot) = suppressions.iter_mut().find(|(l, _)| *l == label) {
                 slot.1 += n;
             }
         }
@@ -656,7 +649,8 @@ struct ProtocolImpl {
     allowed: bool,
 }
 
-/// The line-level rules (L0–L3, L5–L7) over one prepared record.
+/// The line-level rules (L0, L4's impl discovery) over one prepared
+/// record.
 fn lint_record(rec: &FileRecord, diags: &mut Vec<Diagnostic>, impls: &mut Vec<ProtocolImpl>) {
     let rel = &rec.rel;
     for (line, message) in &rec.malformed {
@@ -667,144 +661,71 @@ fn lint_record(rec: &FileRecord, diags: &mut Vec<Diagnostic>, impls: &mut Vec<Pr
             message: message.clone(),
         });
     }
-
-    // Rule L3: mandatory crate-root attributes.
-    if rec.is_crate_root {
-        for attr in [FORBID_UNSAFE, DENY_MISSING_DOCS] {
-            let present = rec.lines.iter().any(|l| l.code.contains(attr));
-            if !present {
-                diags.push(Diagnostic {
-                    rule: Rule::CrateAttrs,
-                    file: rel.clone(),
-                    line: 1,
-                    message: format!("crate root is missing `{attr}`"),
-                });
-            }
-        }
-    }
-
-    let deterministic = DETERMINISTIC_CRATES.contains(&rec.crate_name.as_str());
-
     for (idx, line) in rec.lines.iter().enumerate() {
-        if rec.mask[idx] {
+        if rec.mask[idx] || !line.code.contains("impl") {
             continue;
         }
-        let lineno = idx + 1;
-        let code = &line.code;
-        let allowed = &rec.allows[idx];
-
-        // Rule L1: panic-freedom.
-        if !allowed.contains(&Rule::Panic) {
-            if let Some(needle) = PANIC_NEEDLES.iter().find(|n| code.contains(**n)) {
-                diags.push(Diagnostic {
-                    rule: Rule::Panic,
-                    file: rel.clone(),
-                    line: lineno,
-                    message: format!(
-                        "panic path `{}` in non-test code; return a `Result` via \
-                         bpush_types::error or annotate with a reason",
-                        needle.trim_end_matches('(')
-                    ),
-                });
-            }
-        }
-
-        // Rule L2: determinism in the protocol crates.
-        if deterministic && !allowed.contains(&Rule::Determinism) {
-            if let Some(needle) = DETERMINISM_NEEDLES.iter().find(|n| code.contains(**n)) {
-                diags.push(Diagnostic {
-                    rule: Rule::Determinism,
-                    file: rel.clone(),
-                    line: lineno,
-                    message: format!(
-                        "non-deterministic construct `{needle}` in deterministic crate \
-                         `{}`; use seeded rand and BTree collections",
-                        rec.crate_name
-                    ),
-                });
-            }
-        }
-
-        // Rule L6: lossy numeric casts in the deterministic crates.
-        if deterministic && !allowed.contains(&Rule::Casts) {
-            if let Some(needle) = NARROWING_CAST_NEEDLES
-                .iter()
-                .find(|n| cast_matches(code, n))
-            {
-                diags.push(Diagnostic {
-                    rule: Rule::Casts,
-                    file: rel.clone(),
-                    line: lineno,
-                    message: format!(
-                        "lossy `{}` cast in deterministic crate `{}`; convert with \
-                         `From`/`TryFrom` or annotate with a reason",
-                        needle.trim_start(),
-                        rec.crate_name
-                    ),
-                });
-            }
-        }
-
-        // Rule L7: no direct terminal output in the deterministic
-        // crates — observations belong in the bpush-obs sink, where
-        // they stay replayable and cost nothing when disabled.
-        if deterministic && !allowed.contains(&Rule::Stdout) {
-            if let Some(needle) = STDOUT_NEEDLES.iter().find(|n| code.contains(**n)) {
-                diags.push(Diagnostic {
-                    rule: Rule::Stdout,
-                    file: rel.clone(),
-                    line: lineno,
-                    message: format!(
-                        "`{}` in deterministic crate `{}`; emit through the bpush-obs \
-                         sink (or annotate with a reason)",
-                        needle.trim_end_matches('('),
-                        rec.crate_name
-                    ),
-                });
-            }
-        }
-
-        // Rule L5: std::sync locks.
-        if !allowed.contains(&Rule::Locks)
-            && code.contains("std::sync")
-            && (code.contains("Mutex") || code.contains("RwLock"))
-        {
-            diags.push(Diagnostic {
-                rule: Rule::Locks,
+        if let Some(type_name) = protocol_impl_target(&line.code) {
+            impls.push(ProtocolImpl {
+                type_name,
                 file: rel.clone(),
-                line: lineno,
-                message: "std::sync lock primitive; parking_lot is the workspace standard"
-                    .to_string(),
+                line: idx + 1,
+                allowed: rec.allows[idx].contains(&Rule::Conformance),
             });
-        }
-
-        // Collect ReadOnlyProtocol impls for rule L4.
-        if code.contains("impl") {
-            if let Some(type_name) = protocol_impl_target(code) {
-                impls.push(ProtocolImpl {
-                    type_name,
-                    file: rel.clone(),
-                    line: lineno,
-                    allowed: allowed.contains(&Rule::Conformance),
-                });
-            }
         }
     }
 }
 
-/// Whether `code` contains the cast `needle` as a whole token — i.e. not
-/// as a prefix of a wider type name (`as u32` must not fire on
-/// `as u32x4`-style identifiers).
-fn cast_matches(code: &str, needle: &str) -> bool {
-    let mut rest = code;
-    while let Some(pos) = rest.find(needle) {
-        let after = rest[pos + needle.len()..].chars().next();
-        if !after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            return true;
+/// Counts, per [`CLIPPY_LINTS`] entry, the `#[allow(…)]`/`#[expect(…)]`
+/// attributes naming it outside `#[cfg(test)]` code. With `scope_root`
+/// (a crate root outside [`DETERMINISTIC_CRATES`]), inner attributes
+/// naming a [`SCOPED_CLIPPY_LINTS`] entry are the crate's opt-out and
+/// are not counted.
+fn clippy_waivers(tokens: &[Token], mask: &[bool], scope_root: bool) -> Vec<(&'static str, usize)> {
+    let mut counts: Vec<(&'static str, usize)> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if !t.is_punct("#") || mask.get(t.line - 1).copied().unwrap_or(false) {
+            continue;
         }
-        rest = &rest[pos + needle.len()..];
+        let inner = tokens.get(i + 1).is_some_and(|n| n.is_punct("!"));
+        let open = i + 1 + usize::from(inner);
+        let is_lint_attr = tokens.get(open).is_some_and(|n| n.is_punct("["))
+            && tokens
+                .get(open + 1)
+                .is_some_and(|n| n.is_ident("allow") || n.is_ident("expect"))
+            && tokens.get(open + 2).is_some_and(|n| n.is_punct("("));
+        if !is_lint_attr {
+            continue;
+        }
+        let mut depth = 0usize;
+        for (k, tok) in tokens.iter().enumerate().skip(open + 2) {
+            if tok.is_punct("(") {
+                depth += 1;
+            } else if tok.is_punct(")") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if tok.is_ident("clippy") && tokens.get(k + 1).is_some_and(|n| n.is_punct("::"))
+            {
+                let Some(name) = tokens.get(k + 2) else { break };
+                let Some(&lint) = CLIPPY_LINTS
+                    .iter()
+                    .find(|l| l.trim_start_matches("clippy::") == name.text)
+                else {
+                    continue;
+                };
+                if inner && scope_root && SCOPED_CLIPPY_LINTS.contains(&lint) {
+                    continue;
+                }
+                match counts.iter_mut().find(|(l, _)| *l == lint) {
+                    Some(slot) => slot.1 += 1,
+                    None => counts.push((lint, 1)),
+                }
+            }
+        }
     }
-    false
+    counts
 }
 
 /// Extracts `Name` from an `impl ... ReadOnlyProtocol for Name<...>` line.
@@ -826,7 +747,7 @@ fn protocol_impl_target(code: &str) -> Option<String> {
 /// Per-line allow sets, malformed-annotation findings as `(1-based
 /// line, message)` pairs, and the per-rule annotation counts (the
 /// suppression budget).
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "three parallel per-file results")]
 fn collect_allows(
     lines: &[SplitLine],
 ) -> (
@@ -886,9 +807,9 @@ fn parse_allow(comment: &str) -> Option<Result<Vec<Rule>, String>> {
             None => {
                 return Some(Err(format!(
                     "unknown rule `{name}` in allow annotation (expected one of: \
-                     panic, determinism, crate-attrs, conformance, locks, casts, \
-                     stdout, hot-alloc, sans-io, lock-order, taint, panic-reach, \
-                     state-total, decode-bounds, overflow)"
+                     conformance, hot-alloc, sans-io, lock-order, taint, panic-reach, \
+                     state-total, decode-bounds, overflow; the clippy rules take \
+                     `#[expect(clippy::…, reason = \"…\")]`)"
                 )))
             }
         }
@@ -912,7 +833,7 @@ fn parse_allow(comment: &str) -> Option<Result<Vec<Rule>, String>> {
 /// {
 ///   "clean": false,
 ///   "diagnostics": [
-///     {"rule": "L1/panic", "file": "crates/x/src/lib.rs", "line": 7, "message": "..."}
+///     {"rule": "L4/conformance", "file": "crates/x/src/lib.rs", "line": 7, "message": "..."}
 ///   ]
 /// }
 /// ```
@@ -976,11 +897,7 @@ pub fn report_to_json(report: &LintReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"count\":{count}}}",
-            json_string(rule.code())
-        );
+        let _ = write!(out, "{{\"rule\":{},\"count\":{count}}}", json_string(rule));
     }
     out.push_str("],\"diagnostics\":[");
     for (i, d) in report.diagnostics.iter().enumerate() {
@@ -1022,18 +939,12 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// The file whose inner attributes rule L3 inspects: `src/lib.rs`, or
-/// `src/main.rs` for a pure binary crate.
-fn crate_root_file(src: &Path) -> Option<PathBuf> {
-    let lib = src.join("lib.rs");
-    if lib.is_file() {
-        return Some(lib);
-    }
-    let main = src.join("main.rs");
-    if main.is_file() {
-        return Some(main);
-    }
-    None
+/// Whether `file` is the root of one of the package's targets:
+/// `src/lib.rs`, `src/main.rs`, or a `src/bin/*.rs` binary.
+fn is_crate_root(src: &Path, file: &Path) -> bool {
+    file == src.join("lib.rs")
+        || file == src.join("main.rs")
+        || file.parent() == Some(&src.join("bin"))
 }
 
 pub(crate) fn read_file(path: &Path) -> Result<String, LintError> {
@@ -1082,13 +993,13 @@ mod tests {
 
     #[test]
     fn allow_parses_with_reason() {
-        let parsed = parse_allow(" lint: allow(panic) — checked above");
-        assert_eq!(parsed, Some(Ok(vec![Rule::Panic])));
+        let parsed = parse_allow(" lint: allow(panic-reach) — checked above");
+        assert_eq!(parsed, Some(Ok(vec![Rule::PanicReach])));
     }
 
     #[test]
     fn allow_without_reason_is_malformed() {
-        let parsed = parse_allow(" lint: allow(panic)");
+        let parsed = parse_allow(" lint: allow(panic-reach)");
         assert!(matches!(parsed, Some(Err(_))));
     }
 
@@ -1096,12 +1007,15 @@ mod tests {
     fn allow_with_unknown_rule_is_malformed() {
         let parsed = parse_allow(" lint: allow(everything) — because");
         assert!(matches!(parsed, Some(Err(_))));
+        // The rules clippy took over are waived with `#[expect]` now.
+        let parsed = parse_allow(" lint: allow(panic) — because");
+        assert!(matches!(parsed, Some(Err(_))));
     }
 
     #[test]
     fn allow_accepts_comma_separated_rules() {
-        let parsed = parse_allow(" lint: allow(panic, locks) — shim layer");
-        assert_eq!(parsed, Some(Ok(vec![Rule::Panic, Rule::Locks])));
+        let parsed = parse_allow(" lint: allow(panic-reach, lock-order) — shim layer");
+        assert_eq!(parsed, Some(Ok(vec![Rule::PanicReach, Rule::LockOrder])));
     }
 
     #[test]
@@ -1126,11 +1040,41 @@ mod tests {
     #[test]
     fn suppression_counts_accumulate() {
         let lines = split_source(
-            "fn f() {\n    x(); // lint: allow(panic) — reason one\n    y(); // lint: allow(panic, casts) — reason two\n}\n",
+            "fn f() {\n    x(); // lint: allow(overflow) — reason one\n    y(); // lint: allow(overflow, taint) — reason two\n}\n",
         );
         let (_, malformed, counts) = collect_allows(&lines);
         assert!(malformed.is_empty());
-        assert_eq!(counts, vec![(Rule::Panic, 2), (Rule::Casts, 1)]);
+        assert_eq!(counts, vec![(Rule::Overflow, 2), (Rule::Taint, 1)]);
+    }
+
+    #[test]
+    fn clippy_waivers_count_attributes_outside_tests_and_scope_opt_outs() {
+        let src = "#![allow(clippy::print_stdout, clippy::expect_used, reason = \"scope\")]\n\
+                   #[expect(clippy::expect_used, clippy::cast_possible_truncation, reason = \"a\")]\n\
+                   fn f() {}\n\
+                   #[allow(clippy::too_many_arguments, reason = \"not a migrated lint\")]\n\
+                   fn g() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    #[expect(clippy::panic, reason = \"test code\")]\n    fn t() {}\n}\n";
+        let lines = split_source(src);
+        let (tokens, mask) = (lex_tokens(&lines), test_mask(&lines));
+        assert_eq!(
+            clippy_waivers(&tokens, &mask, true),
+            vec![
+                ("clippy::expect_used", 2),
+                ("clippy::cast_possible_truncation", 1)
+            ],
+            "a scope root's inner print_stdout opt-out is not a waiver"
+        );
+        assert_eq!(
+            clippy_waivers(&tokens, &mask, false),
+            vec![
+                ("clippy::print_stdout", 1),
+                ("clippy::expect_used", 2),
+                ("clippy::cast_possible_truncation", 1)
+            ],
+            "outside a scope root every migrated lint counts"
+        );
     }
 
     #[test]
@@ -1160,7 +1104,7 @@ mod tests {
                 rules_ns: 3,
                 workers: 4,
             },
-            suppressions: vec![(Rule::Panic, 4)],
+            suppressions: vec![("clippy::expect_used", 4)],
             hot_functions: Vec::new(),
             sans_io_files: Vec::new(),
             protocol_enums: Vec::new(),
@@ -1171,7 +1115,7 @@ mod tests {
             "{\"clean\":true,\"files\":3,\
              \"timing\":{\"read_ns\":1,\"lex_ns\":2,\"index_ns\":5,\
              \"rules_ns\":3,\"workers\":4},\
-             \"suppressions\":[{\"rule\":\"L1/panic\",\"count\":4}],\
+             \"suppressions\":[{\"rule\":\"clippy::expect_used\",\"count\":4}],\
              \"diagnostics\":[]}"
         );
     }
@@ -1187,7 +1131,7 @@ mod tests {
         assert!(Rule::StateTotal.file_scoped());
         assert!(Rule::DecodeBounds.file_scoped());
         assert!(Rule::Overflow.file_scoped());
-        assert!(Rule::Panic.file_scoped());
+        assert!(Rule::Annotation.file_scoped());
         assert!(!Rule::PanicReach.file_scoped());
         assert!(!Rule::HotAlloc.file_scoped());
         assert!(!Rule::Conformance.file_scoped());

@@ -18,11 +18,8 @@ fn fixture_root() -> PathBuf {
 }
 
 fn real_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("xtask lives at <root>/crates/xtask")
-        .to_path_buf()
+    // xtask lives at <root>/crates/xtask
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Every seeded interprocedural violation is reported with its exact
@@ -36,9 +33,7 @@ fn fixtures_yield_exact_interprocedural_diagnostics() {
         .collect();
 
     let want: Vec<(&str, String, usize)> = [
-        // core: the renamed `Instant` import (alias leg) …
-        ("L11/taint", "crates/core/src/lib.rs", 6),
-        // … and the clock reached through the helper crate (cross-crate leg).
+        // core: the clock reached through the helper crate.
         ("L11/taint", "crates/core/src/lib.rs", 14),
         // decode: `decode_header` reaches a raw index through `peek`;
         // the checked `take_u8` twin is clean.
@@ -81,24 +76,22 @@ fn fixtures_yield_exact_interprocedural_diagnostics() {
     );
 }
 
-/// The seeded determinism mutant (`use std::time::Instant as Stamp;`
-/// plus a helper-indirected clock read) evades L2's text match but is
-/// caught twice by L11's token-level taint.
+/// A deterministic crate that reads a clock only through a helper crate
+/// outside the deterministic set has no clock at any of its own use
+/// sites, so clippy's `disallowed_methods` cannot see it; L11 catches it
+/// at the calling function.
 #[test]
-fn taint_mutant_passes_l2_but_is_caught_by_l11() {
+fn taint_catches_a_clock_behind_a_helper_crate() {
     let diags = lint_workspace(&fixture_root()).expect("fixture tree lints");
-    let core_diags: Vec<_> = diags
+    let core_diags: Vec<(Rule, usize)> = diags
         .iter()
         .filter(|d| d.file.starts_with("crates/core"))
+        .map(|d| (d.rule, d.line))
         .collect();
-    assert!(
-        core_diags.iter().all(|d| d.rule == Rule::Taint),
-        "the mutant must evade every rule except L11: {core_diags:?}"
-    );
-    assert_eq!(core_diags.len(), 2, "both taint legs must fire");
-    assert!(
-        !core_diags.iter().any(|d| d.rule == Rule::Determinism),
-        "L2's text match must NOT see the renamed import"
+    assert_eq!(
+        core_diags,
+        [(Rule::Taint, 14)],
+        "only the helper-indirected clock read fires"
     );
 }
 
@@ -131,8 +124,9 @@ fn diagnostic_messages_name_the_chain_and_needle() {
     );
 
     let taint = msg(Rule::Taint);
-    assert!(taint.contains("`Stamp`"), "{taint}");
-    assert!(taint.contains("std::time::Instant"), "{taint}");
+    assert!(taint.contains("`seeded_stamp`"), "{taint}");
+    assert!(taint.contains("`Instant::now`"), "{taint}");
+    assert!(taint.contains("seeded_stamp → stamp_micros"), "{taint}");
 
     let reach = msg(Rule::PanicReach);
     assert!(reach.contains("`scan`"), "{reach}");
@@ -192,7 +186,7 @@ fn seeded_mutant_passes_behavioral_tests_but_is_caught_by_l13_and_l14() {
     // fixture carries), plus the checked variants a fix would install.
     enum Kind {
         Item,
-        #[allow(dead_code)]
+        #[allow(dead_code, reason = "only the mutant's wildcard arm reads it")]
         Bucket,
     }
     let mutant_width = |kind: &Kind| -> usize {
@@ -385,41 +379,65 @@ fn decode_path_surface_covers_the_wire_codec() {
 }
 
 /// The escape hatch is a budget, not a loophole: per-rule allow counts
-/// in the real workspace must stay under a pinned ceiling. Raising a
-/// ceiling is a reviewed decision, not a drive-by.
+/// in the real workspace — `lint: allow(…)` annotations and the
+/// `#[expect]`/`#[allow]` attributes naming a clippy rule — must stay
+/// under a pinned ceiling. Raising a ceiling is a reviewed decision, not
+/// a drive-by.
 #[test]
 fn suppression_budget_stays_within_ceiling() {
     let report = lint_workspace_report(&real_root()).expect("workspace lints");
-    let ceiling = |rule: Rule| -> usize {
-        match rule {
-            // currently 38: PR-9 added the wire-fed divergence detectors
-            // (`wirefed::roundtrip_control`, `WireClient` framing — a decode
-            // failure there IS the bug the decorator exists to surface)
-            // and two bench-fixture expects on self-encoded bytes.
-            Rule::Panic => 40,
-            Rule::Casts => 3, // currently 2 (u32 length field in segment framing)
-            Rule::HotAlloc => 6, // currently 4 (amortized growth sites)
-            Rule::LockOrder => 2, // currently 1 (name-resolution over-approximation)
-            // currently 26: structurally-bounded hot-path indexing (CSR
-            // arena slots, galloping-probe brackets) and nonzero-by-
-            // construction divisors — each carries its invariant inline.
-            // PR-10 made the monitor feed an L12 entry surface, which
-            // newly reaches the sgraph intern/add_edge CSR slots (+5,
-            // interned-id-is-dense invariants).
-            Rule::PanicReach => 27,
-            _ => 0,
-        }
+    let count = |labels: &[&str]| -> usize {
+        report
+            .suppressions
+            .iter()
+            .filter(|(label, _)| labels.contains(label))
+            .map(|(_, n)| n)
+            .sum()
     };
-    let mut total = 0;
-    for (rule, count) in &report.suppressions {
-        total += count;
+    // The panic family: currently 28. The wire-fed divergence detector
+    // (`wirefed::roundtrip_control`) and the bench fixture's decode of
+    // its own bytes waive by design; the rest are documented panics and
+    // structural invariants, each with its reason inline.
+    const PANIC_FAMILY: &[&str] = &[
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::unreachable",
+        "clippy::todo",
+        "clippy::unimplemented",
+    ];
+    let ceilings: &[(&[&str], usize)] = &[
+        (PANIC_FAMILY, 40),
+        // currently 2 (the u32 length field in segment framing, and the
+        // u32-bounded item count of `Database::iter_current`)
+        (
+            &[
+                "clippy::cast_possible_truncation",
+                "clippy::cast_possible_wrap",
+                "clippy::cast_sign_loss",
+            ],
+            3,
+        ),
+        (&[Rule::HotAlloc.code()], 6), // currently 4 (amortized growth sites)
+        (&[Rule::LockOrder.code()], 2), // currently 2 (name-resolution over-approximation)
+        // currently 25: structurally-bounded hot-path indexing (CSR
+        // arena slots, galloping-probe brackets) and nonzero-by-
+        // construction divisors — each carries its invariant inline.
+        (&[Rule::PanicReach.code()], 27),
+    ];
+    for (labels, ceiling) in ceilings {
+        let n = count(labels);
         assert!(
-            *count <= ceiling(*rule),
-            "{} has {} allows, over its ceiling of {}",
-            rule.code(),
-            count,
-            ceiling(*rule)
+            n <= *ceiling,
+            "{labels:?} has {n} allows, over its ceiling of {ceiling}"
         );
     }
+    for (label, n) in &report.suppressions {
+        assert!(
+            *n == 0 || ceilings.iter().any(|(labels, _)| labels.contains(label)),
+            "{label} has {n} allows, over its ceiling of 0"
+        );
+    }
+    let total: usize = report.suppressions.iter().map(|(_, n)| n).sum();
     assert!(total <= 73, "workspace-wide allow budget exceeded: {total}");
 }

@@ -1,9 +1,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Fixture: L11 taint — determinism violations L2's text match misses.
+//! Fixture: L11 taint — a clock reached through a crate outside the
+//! deterministic set.
 
 use fixture_util::{pure_len, stamp_micros};
-use std::time::Instant as Stamp;
 
 /// Deterministic helper call — the passing case.
 pub fn deterministic_len(xs: &[u32]) -> usize {
@@ -13,10 +13,4 @@ pub fn deterministic_len(xs: &[u32]) -> usize {
 /// Reaches a clock through the helper crate — the cross-crate leg.
 pub fn seeded_stamp() -> u64 {
     stamp_micros()
-}
-
-/// Uses the renamed clock type in a signature; the body stays pure so
-/// only the `use` rename above is flagged.
-pub fn window(_since: Stamp) -> u64 {
-    0
 }

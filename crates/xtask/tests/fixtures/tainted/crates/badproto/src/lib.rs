@@ -7,3 +7,10 @@
 pub struct Widget;
 
 impl ReadOnlyProtocol for Widget {}
+
+/// Carries malformed annotations — the L0 violations under test: an
+/// unknown rule, and a rule clippy took over.
+pub fn odd() {
+    // lint: allow(bogus) — no such rule
+    // lint: allow(panic) — waived with `#[expect(clippy::…)]` instead
+}

@@ -1,10 +1,14 @@
-//! Proves the lint engine against fixture crates with seeded violations
-//! (one per rule, plus negative controls), then self-checks that the real
-//! workspace lints clean.
+//! Proves the line-level rules against a fixture crate with seeded
+//! violations, self-checks that the real workspace lints clean, and pins
+//! the workspace lint configuration that carries the rules clippy took
+//! over from this engine.
 
+use std::fs;
 use std::path::{Path, PathBuf};
 
-use xtask::{lint_workspace, workspace_crates, LintError, Rule};
+use xtask::{
+    lint_workspace, workspace_crates, LintError, Rule, CLIPPY_LINTS, DETERMINISTIC_CRATES,
+};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -14,11 +18,8 @@ fn fixture_root() -> PathBuf {
 }
 
 fn real_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("xtask lives at <root>/crates/xtask")
-        .to_path_buf()
+    // xtask lives at <root>/crates/xtask
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Every seeded violation is reported with its exact rule, file, and
@@ -32,23 +33,12 @@ fn fixtures_yield_exact_diagnostics() {
         .collect();
 
     let want: Vec<(&str, String, usize)> = [
-        // badattrs: both mandatory crate-root attributes missing.
-        ("L3/crate-attrs", "crates/badattrs/src/lib.rs", 1),
-        ("L3/crate-attrs", "crates/badattrs/src/lib.rs", 1),
-        // badlock: std::sync::Mutex where parking_lot is standard.
-        ("L5/locks", "crates/badlock/src/lib.rs", 6),
-        // badpanic: one naked unwrap, one malformed annotation.
-        ("L1/panic", "crates/badpanic/src/lib.rs", 7),
-        ("L0/annotation", "crates/badpanic/src/lib.rs", 18),
-        // badproto: a ReadOnlyProtocol impl with no conformance evidence.
+        // badproto: a ReadOnlyProtocol impl with no conformance evidence …
         ("L4/conformance", "crates/badproto/src/lib.rs", 9),
-        // client: a deterministic crate with a lossy narrowing cast.
-        ("L6/casts", "crates/client/src/lib.rs", 7),
-        // core: a deterministic crate touching HashMap (decl + body).
-        ("L2/determinism", "crates/core/src/lib.rs", 6),
-        ("L2/determinism", "crates/core/src/lib.rs", 7),
-        // server: a deterministic crate printing to stdout.
-        ("L7/stdout", "crates/server/src/lib.rs", 7),
+        // … an annotation naming no rule, and one naming a rule that
+        // clippy carries now.
+        ("L0/annotation", "crates/badproto/src/lib.rs", 14),
+        ("L0/annotation", "crates/badproto/src/lib.rs", 15),
     ]
     .into_iter()
     .map(|(r, f, l)| (r, f.to_string(), l))
@@ -66,48 +56,23 @@ fn fixtures_yield_exact_diagnostics() {
     );
 }
 
-/// Negative controls inside the fixtures: the annotated `.expect(` and
-/// the `#[cfg(test)]` unwrap must not appear among the findings.
-#[test]
-fn fixture_carve_outs_hold() {
-    let diags = lint_workspace(&fixture_root()).expect("fixture tree lints");
-    for d in &diags {
-        if d.file.ends_with("badpanic/src/lib.rs") {
-            assert_ne!(d.line, 13, "annotated expect must be exempt: {d}");
-            assert!(
-                d.line < 21,
-                "nothing inside #[cfg(test)] may be flagged: {d}"
-            );
-        }
-        if d.file.ends_with("client/src/lib.rs") {
-            assert_eq!(
-                d.line, 7,
-                "widening, annotated, and #[cfg(test)] casts must be exempt: {d}"
-            );
-        }
-        if d.file.ends_with("server/src/lib.rs") {
-            assert_eq!(
-                d.line, 7,
-                "annotated and #[cfg(test)] prints must be exempt: {d}"
-            );
-        }
-    }
-}
-
 /// Diagnostics render as `CODE file:line — message` (what CI greps for).
 #[test]
 fn diagnostic_display_format() {
     let diags = lint_workspace(&fixture_root()).expect("fixture tree lints");
-    let unwrap_diag = diags
+    let conformance = diags
         .iter()
-        .find(|d| d.rule == Rule::Panic)
-        .expect("fixture seeds an L1 finding");
-    let rendered = unwrap_diag.to_string();
+        .find(|d| d.rule == Rule::Conformance)
+        .expect("fixture seeds an L4 finding");
+    let rendered = conformance.to_string();
     assert!(
-        rendered.starts_with("L1/panic crates/badpanic/src/lib.rs:7 — "),
+        rendered.starts_with("L4/conformance crates/badproto/src/lib.rs:9 — "),
         "unexpected rendering: {rendered}"
     );
-    assert!(rendered.contains("panic path `.unwrap()`"), "{rendered}");
+    assert!(
+        rendered.contains("`Widget` implements ReadOnlyProtocol"),
+        "{rendered}"
+    );
 }
 
 /// The real workspace satisfies its own rule catalog — the same check CI
@@ -137,9 +102,89 @@ fn real_workspace_is_clean() {
 /// empty result.
 #[test]
 fn missing_workspace_is_an_error() {
-    let bogus = fixture_root().join("crates").join("badattrs");
+    let bogus = fixture_root().join("crates").join("badproto");
     match lint_workspace(&bogus) {
         Err(LintError::Io { .. } | LintError::NotAWorkspace(_)) => {}
         other => panic!("expected a structural error, got {other:?}"),
+    }
+}
+
+/// Whether the `[header]` table of a TOML file has the line `entry`.
+fn toml_has(text: &str, header: &str, entry: &str) -> bool {
+    let table = text
+        .split_once(&format!("\n[{header}]\n"))
+        .map_or("", |(_, rest)| rest.split("\n[").next().unwrap_or(rest));
+    table.lines().any(|l| l.trim() == entry)
+}
+
+/// The rules clippy carries in place of the deleted text-needle rules
+/// are pinned: every replacement lint is at `deny`, every banned path is
+/// listed, every crate inherits the workspace lints (which also carry
+/// the `unsafe_code`/`missing_docs` crate attributes), and no
+/// deterministic crate opts out at its root.
+#[test]
+fn workspace_lint_config_carries_the_clippy_rules() {
+    let root = real_root();
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let denied = CLIPPY_LINTS
+        .iter()
+        .map(|l| l.trim_start_matches("clippy::"));
+    for lint in denied.chain(["allow_attributes_without_reason"]) {
+        let entry = format!("{lint} = \"deny\"");
+        assert!(
+            toml_has(&manifest, "workspace.lints.clippy", &entry),
+            "missing `{entry}`"
+        );
+    }
+    for entry in ["unsafe_code = \"forbid\"", "missing_docs = \"deny\""] {
+        assert!(
+            toml_has(&manifest, "workspace.lints.rust", entry),
+            "missing `{entry}`"
+        );
+    }
+
+    let clippy = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let banned = |key: &str, path: &str| {
+        let list = clippy
+            .split_once(&format!("{key} = ["))
+            .map_or("", |(_, l)| l);
+        list[..list.find("\n]").unwrap_or(0)].contains(&format!("path = \"{path}\""))
+    };
+    for path in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            banned("disallowed-methods", path),
+            "`{path}` must be disallowed"
+        );
+    }
+    for path in ["HashMap", "HashSet"].map(|t| format!("std::collections::{t}")) {
+        assert!(
+            banned("disallowed-types", &path),
+            "`{path}` must be disallowed"
+        );
+    }
+    for path in ["std::sync::Mutex", "std::sync::RwLock"] {
+        assert!(
+            banned("disallowed-types", path),
+            "`{path}` must be disallowed"
+        );
+    }
+
+    for (name, dir) in workspace_crates(&root).expect("workspace enumerates") {
+        let cargo = fs::read_to_string(dir.join("Cargo.toml")).expect("crate manifest");
+        assert!(
+            toml_has(&cargo, "lints", "workspace = true"),
+            "crates/{name}/Cargo.toml must inherit the workspace lints"
+        );
+        if !DETERMINISTIC_CRATES.contains(&name.as_str()) {
+            continue;
+        }
+        for file in ["lib.rs", "main.rs"].map(|f| dir.join("src").join(f)) {
+            let text = fs::read_to_string(&file).unwrap_or_default();
+            for (at, _) in text.match_indices("#![") {
+                let attr = &text[at..text[at..].find(']').map_or(text.len(), |e| at + e)];
+                let named: Vec<_> = CLIPPY_LINTS.iter().filter(|l| attr.contains(**l)).collect();
+                assert!(named.is_empty(), "{} opts out of {named:?}", file.display());
+            }
+        }
     }
 }

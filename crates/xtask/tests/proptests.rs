@@ -4,10 +4,11 @@
 //! these layers produce, so total robustness here is what lets the lint
 //! run unattended over every file in CI.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "tests are exempt from library lints"
+)]
 
 use std::path::Path;
 

@@ -12,6 +12,8 @@
 //!
 //! Run with: `cargo run --release --example auction_board`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use bpush_core::{Method, Sgt, SgtConfig};
 use bpush_sim::Simulation;
 use bpush_types::{CacheConfig, ClientConfig, ServerConfig, SimConfig};

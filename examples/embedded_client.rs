@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release -p bpush-sim --example embedded_client`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use bpush_client::session::{BroadcastSession, ReadStep};
 use bpush_client::{CacheParams, ClientCache};
 use bpush_core::validator::SerializabilityValidator;

@@ -13,6 +13,8 @@
 //!
 //! Run with: `cargo run --release --example mobile_newsreader`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use bpush_core::Method;
 use bpush_sim::Simulation;
 use bpush_types::{CacheConfig, ClientConfig, ServerConfig, SimConfig};

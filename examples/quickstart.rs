@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use bpush_client::QueryExecutor;
 use bpush_core::validator::SerializabilityValidator;
 use bpush_core::Method;

@@ -14,6 +14,8 @@
 //!
 //! Run with: `cargo run --release --example stock_ticker`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use bpush_core::Method;
 use bpush_sim::Simulation;
 use bpush_types::{CacheConfig, ClientConfig, ServerConfig, SimConfig};

@@ -3,10 +3,11 @@
 //! inconsistent database state** (§2.2) — whatever the granularity,
 //! layout, report window, cache size or disconnection pattern.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "tests are exempt from library lints"
+)]
 use proptest::prelude::*;
 
 use bpush_core::Method;

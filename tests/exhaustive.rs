@@ -4,10 +4,13 @@
 //! committed readset is ever inconsistent. Where proptest samples, this
 //! test covers the whole space.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::cast_possible_truncation,
+    reason = "tests are exempt from library lints"
+)]
 use bpush_client::{CacheParams, ClientCache, QueryExecutor};
 use bpush_core::validator::SerializabilityValidator;
 use bpush_core::{CacheMode, Method};

@@ -2,10 +2,11 @@
 //! the *orderings* and *trends* the paper reports must hold, even though
 //! absolute numbers come from our simulated substrate.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "tests are exempt from library lints"
+)]
 use bpush_core::Method;
 use bpush_sim::experiments::{self, fig5, fig6, fig8, Scale};
 use bpush_sim::{Simulation, Table};

@@ -2,10 +2,7 @@
 //! but consistent with exactly the *currency* each method promises
 //! (Table 1's currency column).
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 use bpush_client::{CacheParams, ClientCache, QueryExecutor, QueryOutcome};
 use bpush_core::validator::SerializabilityValidator;
 use bpush_core::{CacheMode, Method};

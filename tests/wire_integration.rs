@@ -1,10 +1,7 @@
 //! Cross-crate integration: the control information a real server
 //! broadcasts survives the wire codec bit-exactly.
 
-// Integration tests are exempt from the panic-freedom policy
-// (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
-// carve-out in `cargo xtask lint`).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests are exempt from library lints")]
 use bpush_broadcast::wire::{
     decode_augmented, decode_diff, decode_invalidation, encode_augmented, encode_diff,
     encode_invalidation, WireParams,
